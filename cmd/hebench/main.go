@@ -106,7 +106,6 @@ func main() {
 				os.Exit(1)
 			}
 			hub.SetSampler(smp)
-			defer func() { smp.Sample(hub.Domains()) }()
 			if *ctrl {
 				bench.SetControlSink(smp.WriteAction)
 			}

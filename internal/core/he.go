@@ -196,23 +196,37 @@ func (d *Eras) Clear(h *reclaim.Handle) {
 // until the eraClock is observed unchanged across the read. On the fast
 // path (era unchanged since this index's last publication) it issues two
 // seq-cst loads and no store — the mechanism behind the paper's headline
-// throughput gain over Hazard Pointers.
+// throughput gain over Hazard Pointers — and makes no call: the schedule
+// gate inlines to a load and a branch, and publishing, retrying and
+// instrumentation counting all live in protectSlow.
 func (d *Eras) Protect(h *reclaim.Handle, index int, src *atomic.Uint64) mem.Ref {
 	prevEra := h.Held[index]
+	ptr := mem.Ref(src.Load())
+	// The window this gate exposes: the reference is read but the era
+	// that will protect it is not yet validated/published.
+	schedtest.Point(schedtest.PointProtect)
+	era := d.eraClock.Load()
+	if era == prevEra && !h.Instrumented() {
+		return ptr
+	}
+	return d.protectSlow(h, index, src, ptr, era)
+}
+
+// protectSlow finishes a Protect whose first attempt read ptr and era: it
+// counts the attempt when instrumentation is on, publishes the era when it
+// moved, and retries the read until the clock holds still across it.
+func (d *Eras) protectSlow(h *reclaim.Handle, index int, src *atomic.Uint64, ptr mem.Ref, era uint64) mem.Ref {
 	h.InsVisit()
 	for {
-		ptr := mem.Ref(src.Load())
-		h.InsLoad()
-		// The window this gate exposes: the reference is read but the era
-		// that will protect it is not yet validated/published.
-		schedtest.Point(schedtest.PointProtect)
-		era := d.eraClock.Load()
-		h.InsLoad()
-		if era == prevEra {
+		h.InsLoad() // src
+		h.InsLoad() // eraClock
+		if era == h.Held[index] {
 			return ptr
 		}
 		d.publish(h, index, era)
-		prevEra = era
+		ptr = mem.Ref(src.Load())
+		schedtest.Point(schedtest.PointProtect)
+		era = d.eraClock.Load()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -122,9 +123,10 @@ func TestMonitorHysteresis(t *testing.T) {
 }
 
 // TestHubCloseShutsDownCleanly is the shutdown-hygiene regression test:
-// Close must stop the monitor ticker, flush and join the sampler, and join
-// the HTTP serve goroutine — bracketed by NumGoroutine so a leaked watcher
-// fails the test. Close must also be idempotent.
+// Close must stop the monitor ticker, take the sampler's final sample, flush
+// and join it, and join the HTTP serve goroutine — bracketed by
+// NumGoroutine so a leaked watcher fails the test. Close must also be
+// idempotent.
 func TestHubCloseShutsDownCleanly(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -132,28 +134,52 @@ func TestHubCloseShutsDownCleanly(t *testing.T) {
 	d := NewDomain("closer", Config{Sessions: 2})
 	hub.Attach(d)
 
+	// Each ticker goroutine reads its domain list once per tick, so the
+	// first read is the handshake that the goroutine is up and ticking.
+	firstTick := func() (<-chan struct{}, func() []*Domain) {
+		ch := make(chan struct{})
+		var once sync.Once
+		return ch, func() []*Domain {
+			once.Do(func() { close(ch) })
+			return hub.Domains()
+		}
+	}
+
 	path := filepath.Join(t.TempDir(), "close.jsonl")
-	smp, err := StartFileSampler(path, time.Millisecond, hub.Domains)
+	sampled, smpDomains := firstTick()
+	smp, err := StartFileSampler(path, time.Millisecond, smpDomains)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hub.SetSampler(smp)
 
-	mon := NewMonitor(MonitorConfig{Interval: time.Millisecond}, hub.Domains)
+	monitored, monDomains := firstTick()
+	mon := NewMonitor(MonitorConfig{Interval: time.Millisecond}, monDomains)
 	hub.SetMonitor(mon)
 	mon.Start()
 
 	if _, _, err := hub.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // let the ticker goroutines run
+	for _, c := range []struct {
+		name string
+		ch   <-chan struct{}
+	}{{"sampler", sampled}, {"monitor", monitored}} {
+		select {
+		case <-c.ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s ticker never ran", c.name)
+		}
+	}
 
 	hub.Close()
 	hub.Close() // idempotent
 
+	// Close joined every goroutine it owns; an exiting goroutine still
+	// counts until the runtime retires it, so yield until it has.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+		runtime.Gosched()
 	}
 	if got := runtime.NumGoroutine(); got > before {
 		buf := make([]byte, 1<<16)
@@ -168,6 +194,20 @@ func TestHubCloseShutsDownCleanly(t *testing.T) {
 	}
 	if !strings.Contains(string(b), `"scheme":"closer"`) {
 		t.Fatalf("sampler file not flushed on Close: %q", string(b))
+	}
+}
+
+// TestSamplerStopTakesFinalSample pins Stop's contract: a run that ends
+// before the first tick still records its end state, exactly once.
+func TestSamplerStopTakesFinalSample(t *testing.T) {
+	d := testDomain("HE")
+	var buf syncBuffer
+	s := StartSampler(&buf, time.Hour, func() []*Domain { return []*Domain{d} })
+	s.Stop()
+	s.Stop()
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], `"scheme":"HE"`) {
+		t.Fatalf("after Stop with no tick, sampler wrote %q; want one HE snapshot line", buf.String())
 	}
 }
 

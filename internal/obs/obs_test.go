@@ -325,9 +325,11 @@ func TestSamplerJSONL(t *testing.T) {
 	s.Stop()
 	s.Stop() // idempotent
 
+	// Two explicit samples plus the final one Stop takes (once, however
+	// often Stop is called).
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("sampler lines = %d, want 2", len(lines))
+	if len(lines) != 3 {
+		t.Fatalf("sampler lines = %d, want 3", len(lines))
 	}
 	for _, line := range lines {
 		var snap DomainSnapshot

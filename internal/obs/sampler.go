@@ -30,6 +30,7 @@ type Sampler struct {
 	mu      sync.Mutex
 	w       *bufio.Writer
 	closer  io.Closer
+	domains func() []*Domain
 	done    chan struct{}
 	wg      sync.WaitGroup
 	stopped sync.Once
@@ -53,13 +54,13 @@ type controlLine struct {
 
 // StartSampler samples domains() every interval, writing JSON lines to w.
 // The domains callback is re-evaluated each tick so late-attached domains
-// are picked up. Call Stop to flush and halt; if w is also an io.Closer it
-// is closed.
+// are picked up. Call Stop to take a final sample, flush and halt; if w is
+// also an io.Closer it is closed.
 func StartSampler(w io.Writer, interval time.Duration, domains func() []*Domain) *Sampler {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
-	s := &Sampler{w: bufio.NewWriter(w), done: make(chan struct{})}
+	s := &Sampler{w: bufio.NewWriter(w), domains: domains, done: make(chan struct{})}
 	if c, ok := w.(io.Closer); ok {
 		s.closer = c
 	}
@@ -145,20 +146,21 @@ func (s *Sampler) WriteAction(a ControlAction) {
 	s.mu.Unlock()
 }
 
-// Sample takes one immediate sample outside the ticker (drivers call it
-// right before Stop so short runs still record their final state).
+// Sample takes one immediate sample outside the ticker, for drivers that
+// step the sampler in lockstep with their own phases. Stop takes the final
+// one itself.
 func (s *Sampler) Sample(doms []*Domain) { s.sample(doms) }
 
-// Stop halts the ticker, joins the sampling goroutine, flushes, and closes
-// the underlying file if any. Deterministic: when Stop returns, no sampler
-// goroutine is running and every accepted line is on disk.
+// Stop halts the ticker, joins the sampling goroutine, takes one final
+// sample — so a run shorter than the interval still records its end
+// state — flushes, and closes the underlying file if any. Deterministic:
+// when Stop returns, no sampler goroutine is running and every accepted
+// line is on disk.
 func (s *Sampler) Stop() {
 	s.stopped.Do(func() {
 		close(s.done)
 		s.wg.Wait()
-		s.mu.Lock()
-		s.w.Flush()
-		s.mu.Unlock()
+		s.sample(s.domains())
 		if s.closer != nil {
 			s.closer.Close()
 		}

@@ -448,6 +448,7 @@ func (b *Base) Register() *Handle {
 func (b *Base) makeHandle(s *Slot) *Handle {
 	h := &Handle{
 		dom:        b.Dom,
+		hot:        b.Dom,
 		base:       b,
 		slot:       s,
 		Words:      s.words,
@@ -465,12 +466,15 @@ func (b *Base) makeHandle(s *Slot) *Handle {
 		h.Held = make([]uint64, b.Cfg.Slots)
 	}
 	if b.Ins != nil {
-		h.insLoads = b.Ins.loads.Stripe(s.id)
-		h.insStores = b.Ins.stores.Stripe(s.id)
-		h.insRMWs = b.Ins.rmws.Stripe(s.id)
-		h.insVisits = b.Ins.visits.Stripe(s.id)
+		h.ins = &insStripes{
+			loads:  b.Ins.loads.Stripe(s.id),
+			stores: b.Ins.stores.Stripe(s.id),
+			rmws:   b.Ins.rmws.Stripe(s.id),
+			visits: b.Ins.visits.Stripe(s.id),
+		}
 	}
 	if d := b.obsDom; d != nil {
+		h.hot = &observedDomain{b.Dom}
 		h.obsRing = d.Ring(s.id)
 		h.obsProt = d.ProtectStripe(s.id)
 		h.obsRet = d.RetireStripe(s.id)

@@ -105,7 +105,13 @@ func (b *SlotBlock) Next() *SlotBlock { return b.next.Load() }
 // min/max-mode envelope in Lo/Hi; IBR keeps its interval mirror in Lo/Hi;
 // reference counting keeps held refs in Held. They are reset on Register.
 type Handle struct {
-	dom  Domain
+	dom Domain
+	// hot is what Protect and Retire dispatch to, chosen once by
+	// Base.makeHandle: the scheme itself, or observedDomain wrapping it when
+	// the domain has obs attached. The wrappers are then a single interface
+	// call that inlines into their callers, and an unobserved session pays
+	// nothing for observability on the per-node path.
+	hot  Domain
 	base *Base
 	slot *Slot
 
@@ -130,13 +136,11 @@ type Handle struct {
 	retBytesStripe  *atomicx.PaddedInt64
 	freeBytesStripe *atomicx.PaddedInt64
 
-	insLoads  *atomicx.PaddedInt64 // nil when instrumentation is off
-	insStores *atomicx.PaddedInt64
-	insRMWs   *atomicx.PaddedInt64
-	insVisits *atomicx.PaddedInt64
+	ins *insStripes // nil when instrumentation is off
 
-	// Observability caches; all nil when the domain has no obs attached, so
-	// the hot paths pay one untaken branch. The tick counters and scan
+	// Observability caches; all nil when the domain has no obs attached.
+	// Protect and Retire read them only inside observedDomain; the other
+	// hot paths pay one untaken branch. The tick counters and scan
 	// scratch are owner-only plain fields (a Handle has one owner session).
 	obsRing  *obs.Ring          // flight-recorder stripe
 	obsProt  *obs.LatencyStripe // protect-latency histogram stripe
@@ -166,6 +170,11 @@ func (h *Handle) ID() int { return h.slot.id }
 // Domain returns the domain this session belongs to.
 func (h *Handle) Domain() Domain { return h.dom }
 
+// Hot returns what Protect and Retire dispatch to: the session's scheme, or
+// the decorator that observes it when the domain has obs attached. It is
+// fixed for the handle's lifetime, so a wrapping layer may cache it.
+func (h *Handle) Hot() Domain { return h.hot }
+
 // BeginOp opens a read-side critical section on this session.
 func (h *Handle) BeginOp() { h.dom.BeginOp(h) }
 
@@ -173,27 +182,47 @@ func (h *Handle) BeginOp() { h.dom.BeginOp(h) }
 func (h *Handle) EndOp() { h.dom.EndOp(h) }
 
 // Protect loads *src under protection index i (the paper's
-// get_protected(tid, i, src) with the tid folded into the session). With
-// observability attached, one bracket in every 2^SampleShift is timed into
-// the protect-latency histogram; with it off, the wrapper is the same
-// interface dispatch it always was behind one untaken nil check.
+// get_protected(tid, i, src) with the tid folded into the session): one
+// interface dispatch, to the scheme or to its observing decorator.
 func (h *Handle) Protect(index int, src *atomic.Uint64) mem.Ref {
-	if h.obsProt != nil {
-		h.obsTickProt++
-		if h.obsTickProt&h.obsMask == 0 {
-			t0 := obs.Now()
-			ref := h.dom.Protect(h, index, src)
-			h.obsProt.Record(obs.Now() - t0)
-			h.traceProtect(ref)
-			return ref
-		}
-	}
-	if h.obsTrace != nil {
-		ref := h.dom.Protect(h, index, src)
+	return h.hot.Protect(h, index, src)
+}
+
+// Retire declares ref unlinked and due for eventual reclamation.
+func (h *Handle) Retire(ref mem.Ref) { h.hot.Retire(h, ref) }
+
+// observedDomain is the Handle dispatch target of a domain with obs
+// attached. One Protect bracket in every 2^SampleShift is timed into the
+// protect-latency histogram, and one Retire bracket — the whole scheme
+// Retire, including any scan it triggers — into the retire-latency
+// histogram, which is what makes the amortization tail (one in threshold
+// retires pays the scan) visible. With lifecycle tracing on, every protect
+// of a sampled ref also lands on its span.
+type observedDomain struct{ Domain }
+
+func (o *observedDomain) Protect(h *Handle, index int, src *atomic.Uint64) mem.Ref {
+	h.obsTickProt++
+	if h.obsTickProt&h.obsMask == 0 {
+		t0 := obs.Now()
+		ref := o.Domain.Protect(h, index, src)
+		h.obsProt.Record(obs.Now() - t0)
 		h.traceProtect(ref)
 		return ref
 	}
-	return h.dom.Protect(h, index, src)
+	ref := o.Domain.Protect(h, index, src)
+	h.traceProtect(ref)
+	return ref
+}
+
+func (o *observedDomain) Retire(h *Handle, ref mem.Ref) {
+	h.obsTickRet++
+	if h.obsTickRet&h.obsMask == 0 {
+		t0 := obs.Now()
+		o.Domain.Retire(h, ref)
+		h.obsRet.Record(obs.Now() - t0)
+		return
+	}
+	o.Domain.Retire(h, ref)
 }
 
 // traceProtect lands a protect event on a sampled ref's lifecycle span.
@@ -205,23 +234,6 @@ func (h *Handle) traceProtect(ref mem.Ref) {
 	if r := uint64(ref.Unmarked()); tr.Sampled(r) {
 		tr.Event(r, obs.SpanProtect, h.slot.id, 0)
 	}
-}
-
-// Retire declares ref unlinked and due for eventual reclamation. Sampled
-// brackets time the whole scheme Retire — including any scan it triggers —
-// into the retire-latency histogram, which is what makes the amortization
-// tail (one in threshold retires pays the scan) visible.
-func (h *Handle) Retire(ref mem.Ref) {
-	if h.obsRet != nil {
-		h.obsTickRet++
-		if h.obsTickRet&h.obsMask == 0 {
-			t0 := obs.Now()
-			h.dom.Retire(h, ref)
-			h.obsRet.Record(obs.Now() - t0)
-			return
-		}
-	}
-	h.dom.Retire(h, ref)
 }
 
 // Release parks the live session in the domain pool for Acquire to reuse.
@@ -490,30 +502,41 @@ func (h *Handle) ObsEra(clock uint64) {
 	}
 }
 
+// insStripes is one session's stripe of each Instrument counter, behind a
+// single Handle pointer so an instrumentation check is one nil test.
+type insStripes struct {
+	loads, stores, rmws, visits *atomicx.PaddedInt64
+}
+
+// Instrumented reports whether the domain counts this session's atomic
+// operations. A scheme's Protect tests it once, on its fast path, and moves
+// the counting to its slow path.
+func (h *Handle) Instrumented() bool { return h.ins != nil }
+
 // InsVisit records one Protect call (one node visited) by this session.
 func (h *Handle) InsVisit() {
-	if h.insVisits != nil {
-		h.insVisits.Add(1)
+	if h.ins != nil {
+		h.ins.visits.Add(1)
 	}
 }
 
 // InsLoad records one seq-cst atomic load issued by this session.
 func (h *Handle) InsLoad() {
-	if h.insLoads != nil {
-		h.insLoads.Add(1)
+	if h.ins != nil {
+		h.ins.loads.Add(1)
 	}
 }
 
 // InsStore records one seq-cst atomic store issued by this session.
 func (h *Handle) InsStore() {
-	if h.insStores != nil {
-		h.insStores.Add(1)
+	if h.ins != nil {
+		h.ins.stores.Add(1)
 	}
 }
 
 // InsRMW records one atomic read-modify-write issued by this session.
 func (h *Handle) InsRMW() {
-	if h.insRMWs != nil {
-		h.insRMWs.Add(1)
+	if h.ins != nil {
+		h.ins.rmws.Add(1)
 	}
 }

@@ -90,13 +90,24 @@ var runMu sync.Mutex
 // i.e. context-switch the cooperative schedule. Goroutines registered via
 // BeginBystander (background reclaimers) bypass the schedule entirely — only
 // the token holder may touch the controller.
+//
+// Point stays small enough to inline, so a gate on a hot path (every
+// Protect, CAS, retire, scan block and free) is the load and branch alone,
+// with no call; everything a controller does lives in pointSlow.
 func Point(k Kind) {
 	if c := active.Load(); c != nil {
-		if bystanderN.Load() != 0 && isBystander() {
-			return
-		}
-		c.point(k)
+		pointSlow(c, k)
 	}
+}
+
+// pointSlow is Point with a controller installed.
+//
+//go:noinline
+func pointSlow(c *Controller, k Kind) {
+	if bystanderN.Load() != 0 && isBystander() {
+		return
+	}
+	c.point(k)
 }
 
 // Enabled reports whether a controller is currently installed — used by

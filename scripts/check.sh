@@ -179,6 +179,22 @@ echo "== build =="
 go build ./...
 echo "== vet =="
 go vet ./...
+echo "== inlining (the protected hop and the operation window make no call) =="
+# Each wrapper below must stay inlinable: a protected load is then one
+# interface dispatch into the scheme, and a schedule gate is a load and a
+# branch. Atomic[T].Load is generic, so it is compiled (and reported) where
+# internal/list instantiates it.
+inl=$(go build -gcflags=-m ./internal/schedtest ./internal/reclaim ./smr ./internal/list 2>&1)
+while IFS='|' read -r name pattern; do
+  grep -qE ": can inline $pattern\$" <<<"$inl" || { echo "no longer inlinable: $name"; exit 1; }
+done <<'INLINE'
+schedtest.Point|Point
+(*reclaim.Handle).Protect|\(\*Handle\)\.Protect
+(*smr.Atomic[T]).Load|smr\.\(\*Atomic\[go\.shape\..*\]\)\.Load
+(*smr.AtomicBytes).Load|\(\*AtomicBytes\)\.Load
+(*smr.Guard).BeginOp|\(\*Guard\)\.BeginOp
+(*smr.Guard).EndOp|\(\*Guard\)\.EndOp
+INLINE
 echo "== hygiene (no sampler artifacts committed under internal/) =="
 stray=$(find internal -name '*.jsonl' 2>/dev/null || true)
 [ -z "$stray" ] || { echo "stray .jsonl artifacts under internal/:"; echo "$stray"; exit 1; }

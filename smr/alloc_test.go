@@ -2,6 +2,7 @@ package smr_test
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/smr"
 )
@@ -11,8 +12,9 @@ import (
 // Retire, Release — must allocate nothing. Guard methods are concrete-struct
 // wrappers the compiler inlines (no interface dispatch), pooled Acquire
 // revives the Guard parked in the handle's Wrapper slot, and Atomic.Load
-// compiles down to Handle.Protect. Any regression here shows up as bytes/op
-// in BENCH_api.json and fails this gate first.
+// compiles down to one interface dispatch into the scheme's Protect. Any
+// regression here shows up as bytes/op in BENCH_api.json and fails this
+// gate first.
 
 // allocSteadyState runs one full public-API operation cycle against a
 // prefilled domain: a protected read of the shared cell, then a
@@ -59,5 +61,14 @@ func TestAllocFreeSteadyState(t *testing.T) {
 					avg)
 			}
 		})
+	}
+}
+
+// TestGuardFillsCacheLines pins the Guard's padding: BeginOp and EndOp write
+// its state word, so a Guard that shared a cache line with another
+// session's would bounce that line between their cores on every operation.
+func TestGuardFillsCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(smr.Guard{}); n%64 != 0 {
+		t.Fatalf("unsafe.Sizeof(Guard{}) = %d, want a multiple of 64; resize the pad in guard.go", n)
 	}
 }

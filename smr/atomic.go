@@ -51,7 +51,7 @@ func (a *Atomic[T]) Load(g *Guard, index int) Ptr[T] {
 	if g.state != guardInOp {
 		panic("smr: Atomic.Load" + msgNotInOp)
 	}
-	return Ptr[T]{g.h.Protect(index, &a.v)}
+	return Ptr[T]{g.hot.Protect(g.h, index, &a.v)}
 }
 
 // Peek returns *a as an unprotected snapshot: valid for identity
@@ -95,7 +95,7 @@ func (a *AtomicBytes) Load(g *Guard, index int) Bytes {
 	if g.state != guardInOp {
 		panic("smr: AtomicBytes.Load" + msgNotInOp)
 	}
-	return Bytes{g.h.Protect(index, &a.v)}
+	return Bytes{g.hot.Protect(g.h, index, &a.v)}
 }
 
 // Peek returns the payload reference as an unprotected snapshot.

@@ -60,7 +60,12 @@ type Guard struct {
 	// from the Guard — the same dependency depth as the internal Handle
 	// path — where going through g.h first would add a pointer chase to
 	// every operation.
-	dom   reclaim.Domain
+	dom reclaim.Domain
+	// hot mirrors h.Hot() — the scheme, or its observing decorator — for
+	// the same reason, and because it keeps Atomic.Load inside the inlining
+	// budget: a protected load is one load from the Guard and one interface
+	// dispatch into the scheme.
+	hot   reclaim.Domain
 	state uint32
 	// id caches the session's arena shard id. Release poisons it to -1:
 	// Domain.Alloc is deliberately check-free (the branch would push it
@@ -69,6 +74,10 @@ type Guard struct {
 	// route a released guard's Alloc to the safe shared slow path instead
 	// of a pooled session's private magazine.
 	id int32
+	// The pad makes a Guard exactly one cache line. state is written on
+	// every BeginOp and EndOp, and Go's 64-byte size class places a 64-byte
+	// object on a line of its own, so two sessions' Guards never share one.
+	_ [16]byte
 }
 
 // Adopt wraps an internal session handle in a Guard. The Guard is parked in
@@ -86,7 +95,7 @@ func Adopt(h *reclaim.Handle) *Guard {
 		g.id = int32(h.ID())
 		return g
 	}
-	g := &Guard{h: h, dom: h.Domain(), id: int32(h.ID())}
+	g := &Guard{h: h, dom: h.Domain(), hot: h.Hot(), id: int32(h.ID())}
 	h.Wrapper = g
 	return g
 }
@@ -127,7 +136,7 @@ func (g *Guard) Retire(r Ref) {
 	if g.state == guardReleased {
 		panic("smr: Guard.Retire" + msgReleased)
 	}
-	g.h.Retire(r)
+	g.hot.Retire(g.h, r)
 }
 
 // Release parks the live session in the domain pool for Acquire to reuse
