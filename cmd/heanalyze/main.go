@@ -1,9 +1,8 @@
 // Command heanalyze reconstructs reclamation behaviour offline from the
 // JSONL files the -sample flag of hebench/hestress writes. The file mixes
-// four line shapes (see internal/obs.Sampler): per-domain snapshots,
-// completed per-ref lifecycle spans (-trace), health-alert transitions
-// (-monitor), and controller knob actuations (-control). heanalyze folds
-// them into:
+// three line shapes (see internal/obs.Sampler): per-domain snapshots,
+// completed per-ref lifecycle spans (-trace) and health-alert transitions
+// (-monitor). heanalyze folds them into:
 //
 //   - a per-scheme summary: spans completed, reclamation-age (retire→free)
 //     quantiles and a log2 age histogram recomputed from the spans
@@ -14,9 +13,7 @@
 //     (and, if refs are still pinned, its final one): which sessions hold
 //     pinned refs, at what era, for how long — the offline attribution of
 //     a Figure-4 stall to the session causing it;
-//   - the alert log: every raise/clear transition the monitor emitted;
-//   - the actuation log: every knob move the adaptive controller applied
-//     (-control), per scheme, with a per-knob/per-reason summary.
+//   - the alert log: every raise/clear transition the monitor emitted.
 //
 // Usage:
 //
@@ -43,20 +40,18 @@ import (
 // distinguishing key, snapshot lines carry neither and re-decode as a full
 // DomainSnapshot.
 type jsonlLine struct {
-	Scheme  string          `json:"scheme"`
-	Span    json.RawMessage `json:"span"`
-	Alert   json.RawMessage `json:"alert"`
-	Control json.RawMessage `json:"control"`
+	Scheme string          `json:"scheme"`
+	Span   json.RawMessage `json:"span"`
+	Alert  json.RawMessage `json:"alert"`
 }
 
 // schemeData accumulates everything the file recorded for one scheme.
 type schemeData struct {
 	name  string
 	spans []*obs.RefSpan
-	last    *obs.DomainSnapshot // final snapshot: the end state
-	peak    *obs.DomainSnapshot // snapshot with the largest pinned table: the worst moment of the run
-	snaps   int
-	actions []obs.ControlAction // controller actuations, in file order
+	last  *obs.DomainSnapshot // final snapshot: the end state
+	peak  *obs.DomainSnapshot // snapshot with the largest pinned table: the worst moment of the run
+	snaps int
 }
 
 func main() {
@@ -106,20 +101,6 @@ func main() {
 			continue
 		}
 		switch {
-		// Actuation envelopes are {"control": {...}} with no top-level
-		// scheme key; snapshot lines also carry a "control" member (the
-		// live ControlStatus) but always name their scheme at top level.
-		case probe.Control != nil && probe.Scheme == "":
-			var a obs.ControlAction
-			if json.Unmarshal(probe.Control, &a) != nil {
-				bad++
-				continue
-			}
-			if *schemeFilter != "" && a.Scheme != *schemeFilter {
-				continue
-			}
-			sd := getScheme(schemes, &order, a.Scheme)
-			sd.actions = append(sd.actions, a)
 		case probe.Alert != nil:
 			var a obs.Alert
 			if json.Unmarshal(probe.Alert, &a) == nil {
@@ -226,16 +207,7 @@ func printScheme(sd *schemeData, spansN int) {
 		if s.BudgetBytes > 0 {
 			fmt.Printf("pending bytes at end: %d (budget %d)\n", s.PendingBytes, s.BudgetBytes)
 		}
-		if c := s.Control; c != nil {
-			gated := ""
-			if c.Gated {
-				gated = "  GATED"
-			}
-			fmt.Printf("controller at end: threshold=%d workers=%d watermark=%d headroom=%d%s\n",
-				c.ScanThreshold, c.Workers, c.WatermarkBytes, c.HeadroomBytes, gated)
-		}
 	}
-	printActions(sd.actions)
 	// Pin attribution from the worst moment of the run — the snapshot with
 	// the largest pinned table. During a stalled-reader episode that is the
 	// stall itself, even if everything was reclaimed by the final snapshot.
@@ -365,32 +337,6 @@ func printRef(schemes map[string]*schemeData, order []string, ref uint64) {
 	}
 	if found == 0 {
 		fmt.Printf("no completed span recorded for ref %#x\n", ref)
-	}
-}
-
-// printActions renders one scheme's controller actuation log with a
-// per-knob/per-reason tally — the offline record of what the adaptive
-// control plane did and why.
-func printActions(actions []obs.ControlAction) {
-	if len(actions) == 0 {
-		return
-	}
-	tally := map[string]int{}
-	var keys []string
-	for _, a := range actions {
-		k := a.Knob + " (" + a.Reason + ")"
-		if tally[k] == 0 {
-			keys = append(keys, k)
-		}
-		tally[k]++
-	}
-	fmt.Printf("controller actuations: %d\n", len(actions))
-	for _, k := range keys {
-		fmt.Printf("  %4d× %s\n", tally[k], k)
-	}
-	for _, a := range actions {
-		fmt.Printf("  t=%6dms  %-14s %-18s %d -> %d\n",
-			a.TMillis, a.Knob, a.Reason, a.From, a.To)
 	}
 }
 

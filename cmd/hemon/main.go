@@ -143,41 +143,6 @@ func render(client *http.Client, addr string, events int) (string, error) {
 		}
 	}
 
-	// Adaptive control plane: only schemes running with -control carry the
-	// status. Negative headroom means the pending-bytes budget is breached;
-	// with -gate the controller answers by engaging admission backpressure
-	// (GATED) until pending falls back under the release fraction.
-	var ctlRows []obs.DomainSnapshot
-	for _, s := range snaps {
-		if s.Control != nil {
-			ctlRows = append(ctlRows, s)
-		}
-	}
-	if len(ctlRows) > 0 {
-		fmt.Fprintf(&b, "\n%-10s %10s %8s %14s %6s %12s %12s %11s %6s\n",
-			"control", "threshold", "workers", "watermark", "gated", "budget", "headroom", "actuations", "gates")
-		for _, s := range ctlRows {
-			c := s.Control
-			gated := "-"
-			if c.Gated {
-				gated = "GATED"
-			}
-			fmt.Fprintf(&b, "%-10s %10d %8d %14d %6s %12d %12d %11d %6d\n",
-				s.Scheme, c.ScanThreshold, c.Workers, c.WatermarkBytes, gated,
-				c.BudgetBytes, c.HeadroomBytes, c.Actuations, c.GateCount)
-		}
-		for _, s := range ctlRows {
-			if len(s.Control.LastActions) == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "\n%s recent actuations:\n", s.Scheme)
-			for _, a := range s.Control.LastActions {
-				fmt.Fprintf(&b, "  %10.3fs  %-14s %-18s %d -> %d\n",
-					float64(a.TMillis)/1e3, a.Knob, a.Reason, a.From, a.To)
-			}
-		}
-	}
-
 	// Size-class occupancy: only domains whose arena exposes class accounting
 	// (byte-value mode) carry the gauges. Class 0 is the typed node slab;
 	// classes 1+ are the byte-payload ladder. Idle classes are elided.

@@ -8,7 +8,7 @@
 //	hestress -struct list -scheme HE -threads 8 -dur 5s
 //	hestress -struct all -scheme all -dur 1s
 //	hestress -struct all -scheme all -dur 1s -grow
-//	hestress -struct list -scheme HE -offload 1 -control -gate \
+//	hestress -struct list,map -scheme HE,EBR -offload 1 -monitor \
 //	  -phases churn:2s,read:1s,stall:2s
 //
 // Structures: list, map, queue, stack, bst, wfq, skiplist, all. Schemes:
@@ -20,13 +20,10 @@
 // payload to every key of the set-like structures, stressing the byte-class
 // sub-allocator's recycle path alongside node reclamation.
 //
-// -control attaches the adaptive control plane (internal/control) to every
-// domain, so the feedback controller retunes the scan threshold, offload
-// watermark and worker count live under the stress itself; -budget and
-// -gate bound pending bytes and engage admission backpressure on breach.
 // -phases shifts the stress regime over a looping schedule — churn
 // (update-heavy), read (read-only), stall (a parked reader on pinnable
-// structures) — the shifting-load scenario the controller exists for.
+// structures) — so reclamation, and the offload pipeline with -offload,
+// runs under a shifting load.
 // Exit status 1 if any fault was detected.
 package main
 
@@ -96,9 +93,6 @@ func main() {
 		valsize = flag.String("valsize", "0", "per-key []byte payload size for set-like structures: 0 = word values (off), N = fixed N bytes, zipf:N = skewed sizes in [8,N]")
 		trace   = flag.String("trace", "", "sampled per-ref lifecycle tracing: \"all\" = every allocation, N = 1 in 2^N")
 		monitor = flag.Bool("monitor", false, "run the online health monitor: invariant alerts at /alerts.json and smr_alerts_*, alert lines to -sample")
-		ctrl    = flag.Bool("control", false, "attach the adaptive control plane to every domain: a feedback controller retunes the scan threshold, offload watermark and worker count live while the stress runs")
-		budget  = flag.Int64("budget", 0, "pending-bytes budget the -control controller enforces per domain (0 = derive the Equation-1 budget)")
-		gate    = flag.Bool("gate", false, "with -control: engage retire-path admission backpressure while the budget is breached")
 		phasesF = flag.String("phases", "", "shift the stress-regime over a phase schedule, e.g. churn:3s,read:3s,stall:3s (looped for the run; stall parks a reader on pinnable structures)")
 	)
 	flag.Parse()
@@ -106,9 +100,6 @@ func main() {
 
 	if *offload > 0 {
 		bench.SetOffload(reclaim.OffloadConfig{Workers: *offload})
-	}
-	if *ctrl {
-		bench.SetControl(reclaim.ControlConfig{Enabled: true, BudgetBytes: *budget, Gate: *gate})
 	}
 	if *phasesF != "" {
 		ph, err := bench.ParsePhases(*phasesF)
@@ -159,18 +150,12 @@ func main() {
 				os.Exit(1)
 			}
 			hub.SetSampler(smp)
-			if *ctrl {
-				bench.SetControlSink(smp.WriteAction)
-			}
 		}
 		if *monitor {
 			mon := obs.NewMonitor(obs.MonitorConfig{}, hub.Domains)
 			mon.SetOnAlert(func(a obs.Alert) {
 				if smp != nil {
 					smp.WriteAlert(a)
-				}
-				for _, c := range bench.Controllers() {
-					c.OnAlert(a)
 				}
 			})
 			hub.SetMonitor(mon)

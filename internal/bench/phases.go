@@ -2,29 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/control"
-	"repro/internal/core"
-	"repro/internal/reclaim"
-	"repro/smr"
 )
-
-// This file is the control-plane A/B: a workload whose character shifts
-// between phases (churn → read-mostly → churn-under-a-stalled-reader) run
-// once per knob configuration — fixed-tight, fixed-wide, and adaptive (the
-// internal/control feedback controller) — recording, per phase, the update
-// -path latency tail and the peak pending bytes. No fixed knob setting wins
-// every phase: a starved watermark and tight threshold backpressure the
-// retire path on every churn burst (latency tail), generous ones let
-// pending memory balloon when reclamation falls behind (peak bytes under
-// the stall). The controller's job is to track the knee as the phases
-// shift; BENCH_control.json records a run.
 
 // Phase is one segment of a shifting workload: a named regime and how long
 // it lasts.
@@ -61,330 +41,4 @@ func ParsePhases(s string) ([]Phase, error) {
 		out = append(out, Phase{Name: name, Dur: d})
 	}
 	return out, nil
-}
-
-// phaseUpdatePercent maps a phase name to its update probability.
-func phaseUpdatePercent(name string) int32 {
-	if name == "read" {
-		return 0
-	}
-	return 100 // churn and stall are both full-churn regimes
-}
-
-// PhaseResult is the measurement of one phase of one run.
-type PhaseResult struct {
-	Phase string `json:"phase"`
-	// Ops is the total operations completed while the phase was active.
-	Ops int64 `json:"ops"`
-	// UpdateP50Ns / UpdateP99Ns are percentiles of the sampled update-path
-	// latency (remove + reinsert — the retire and any inline scan it
-	// triggers ride on this path). 0 when the phase had no updates.
-	UpdateP50Ns int64 `json:"update_p50_ns"`
-	UpdateP99Ns int64 `json:"update_p99_ns"`
-	// PeakPendingBytes is the highest pending-reclamation byte reading
-	// observed during the phase (polled at millisecond granularity).
-	PeakPendingBytes int64 `json:"peak_pending_bytes"`
-	// Actuations counts controller knob movements during the phase
-	// (adaptive runs only).
-	Actuations int64 `json:"actuations,omitempty"`
-}
-
-// latSampleShift subsamples update-latency timing to one op in 2^shift so
-// the two clock reads don't perturb the path being measured.
-const latSampleShift = 3
-
-// RunPhases drives the prefilled structure through the phase schedule with
-// the given worker count. Workers run continuously; a coordinator switches
-// the regime (update probability, stalled reader) at each phase boundary
-// and polls pending bytes for the per-phase peak. actuations, when non-nil,
-// reports a monotone controller-actuation count (adaptive runs).
-func RunPhases(l Pinnable, phases []Phase, threads int, seed uint64, actuations func() int64) []PhaseResult {
-	dom := l.Domain()
-	var stop atomic.Bool
-	var curPhase atomic.Int32
-	var curUpd atomic.Int32
-	curUpd.Store(phaseUpdatePercent(phases[0].Name))
-
-	// Per-worker, per-phase accumulators; private to each worker while it
-	// runs, read by the coordinator only after done.Wait().
-	type workerAcc struct {
-		ops []int64
-		lat [][]int64
-	}
-	accs := make([]workerAcc, threads)
-
-	var ready, done sync.WaitGroup
-	start := make(chan struct{})
-	for t := 0; t < threads; t++ {
-		ready.Add(1)
-		done.Add(1)
-		go func(worker int) {
-			defer done.Done()
-			g := smr.Adopt(dom.Register())
-			defer g.Unregister()
-			acc := &accs[worker]
-			acc.ops = make([]int64, len(phases))
-			acc.lat = make([][]int64, len(phases))
-			rng := NewSplitMix64(seed + uint64(worker)*0x9E37)
-			var updates uint64
-			ready.Done()
-			<-start
-			for !stop.Load() {
-				pi := int(curPhase.Load())
-				upd := curUpd.Load()
-				for i := 0; i < opsPerDeadlineCheck; i++ {
-					key := rng.Intn(1000)
-					if upd > 0 && rng.Intn(100) < uint64(upd) {
-						sampled := updates&(1<<latSampleShift-1) == 0
-						updates++
-						var t0 time.Time
-						if sampled {
-							t0 = time.Now()
-						}
-						if l.Remove(g, key) {
-							l.Insert(g, key, key)
-						}
-						if sampled {
-							acc.lat[pi] = append(acc.lat[pi], time.Since(t0).Nanoseconds())
-						}
-					} else {
-						l.Contains(g, key)
-					}
-				}
-				acc.ops[pi] += opsPerDeadlineCheck
-			}
-		}(t)
-	}
-
-	ready.Wait()
-	close(start)
-
-	results := make([]PhaseResult, len(phases))
-	var prevAct int64
-	if actuations != nil {
-		prevAct = actuations()
-	}
-	for pi, ph := range phases {
-		curUpd.Store(phaseUpdatePercent(ph.Name))
-		curPhase.Store(int32(pi))
-		var release chan struct{}
-		var readerDone <-chan struct{}
-		if ph.Name == "stall" {
-			release = make(chan struct{})
-			readerDone = StalledReader(l, release)
-		}
-		deadline := time.Now().Add(ph.Dur)
-		var peak int64
-		for time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-			if pb := dom.Stats().PendingBytes; pb > peak {
-				peak = pb
-			}
-		}
-		if release != nil {
-			close(release)
-			<-readerDone
-		}
-		results[pi].Phase = ph.Name
-		results[pi].PeakPendingBytes = peak
-		if actuations != nil {
-			a := actuations()
-			results[pi].Actuations = a - prevAct
-			prevAct = a
-		}
-	}
-	stop.Store(true)
-	done.Wait()
-
-	for pi := range phases {
-		var lat []int64
-		for w := range accs {
-			results[pi].Ops += accs[w].ops[pi]
-			lat = append(lat, accs[w].lat[pi]...)
-		}
-		if len(lat) > 0 {
-			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-			results[pi].UpdateP50Ns = lat[len(lat)/2]
-			results[pi].UpdateP99Ns = lat[len(lat)*99/100]
-		}
-	}
-	return results
-}
-
-// ControlRun is one knob configuration's full pass over the phase schedule.
-type ControlRun struct {
-	Config string        `json:"config"`
-	Phases []PhaseResult `json:"phases"`
-}
-
-// tunable is how the A/B reaches a domain's live-knob surface; every scheme
-// satisfies it through the promoted reclaim.Base.Tuner.
-type tunable interface{ Tuner() *reclaim.Tuner }
-
-// controlKnobs is one fixed-knob configuration of the A/B grid.
-type controlKnobs struct {
-	name     string
-	scanR    int
-	workers  int
-	maxW     int
-	wmBytes  int64
-	adaptive bool
-}
-
-// controlConfigs is the A/B grid over the offload pipeline's knob space:
-// a tight configuration (scan-per-R1, starved 16 KiB watermark — minimal
-// pending, constant backpressure), a wide one (16× threshold, 1 MiB
-// watermark — maximal amortization, pending balloons when reclamation
-// falls behind), and the adaptive run, which STARTS from the tight knobs
-// and lets the controller move them.
-func controlConfigs() []controlKnobs {
-	return []controlKnobs{
-		{name: "static-tight", scanR: 1, workers: 1, maxW: 4, wmBytes: 16 << 10},
-		{name: "static-wide", scanR: 16, workers: 1, maxW: 4, wmBytes: 1 << 20},
-		{name: "adaptive", scanR: 1, workers: 1, maxW: 4, wmBytes: 16 << 10, adaptive: true},
-	}
-}
-
-// runControlConfig executes one configuration's pass over the phase
-// schedule. budget only applies to the adaptive run.
-func runControlConfig(o Options, phases []Phase, threads int, k controlKnobs, budget int64) ControlRun {
-	const size = 1000
-	mk := func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-		c.ScanR = k.scanR
-		c.Offload = reclaim.OffloadConfig{Workers: k.workers, MaxWorkers: k.maxW, WatermarkBytes: k.wmBytes}
-		return core.New(a, c)
-	}
-	l := newList(Scheme{Name: "HE", Make: mk}, threads+3) // workers + stalled reader + margin
-	Prefill(l, size)
-	var actuations func() int64
-	if k.adaptive {
-		tn, ok := l.Domain().(tunable)
-		if !ok {
-			panic("bench: scheme does not expose a Tuner")
-		}
-		ctl, _ := control.New(control.Config{
-			Interval: 25 * time.Millisecond,
-			Policy:   control.Policy{BudgetBytes: budget, Gate: true},
-		})
-		ctl.Attach(tn.Tuner())
-		ctl.Start()
-		scheme := l.Domain().Name()
-		actuations = func() int64 {
-			if st := ctl.Status(scheme); st != nil {
-				return st.Actuations
-			}
-			return 0
-		}
-	}
-	res := RunPhases(l, phases, threads, o.Seed, actuations)
-	l.Drain() // the drain hook stops the controller before the registry walk
-	return ControlRun{Config: k.name, Phases: res}
-}
-
-// controlCompareRuns executes the A/B and returns the raw per-config,
-// per-phase measurements (ControlCompare renders them; tests and the JSON
-// recording consume them directly).
-//
-// Methodology: rounds of the full config sequence are interleaved (the PR 7
-// device, coarsened to run granularity — every config samples every clock
-// regime of the host in equal proportion) and each cell reports per-phase
-// medians across rounds. The tight baseline's first round calibrates the
-// adaptive run's budget: 2× the peak pending the tightest knobs needed, a
-// machine-independent formulation.
-func controlCompareRuns(o Options, phases []Phase, threads, rounds int) []ControlRun {
-	cfgs := controlConfigs()
-	perCfg := make([][]ControlRun, len(cfgs))
-
-	// Calibration round: tight first, then the rest; the tight result is
-	// kept (round 1 of its cell).
-	var budget int64
-	for i, k := range cfgs {
-		if k.adaptive {
-			continue
-		}
-		r := runControlConfig(o, phases, threads, k, 0)
-		perCfg[i] = append(perCfg[i], r)
-		if k.name == "static-tight" {
-			for _, p := range r.Phases {
-				if 2*p.PeakPendingBytes > budget {
-					budget = 2 * p.PeakPendingBytes
-				}
-			}
-		}
-	}
-	if budget == 0 {
-		budget = 1 << 20
-	}
-	for i, k := range cfgs {
-		if k.adaptive {
-			perCfg[i] = append(perCfg[i], runControlConfig(o, phases, threads, k, budget))
-		}
-	}
-	for round := 1; round < rounds; round++ {
-		for i, k := range cfgs {
-			perCfg[i] = append(perCfg[i], runControlConfig(o, phases, threads, k, budget))
-		}
-	}
-
-	med := func(xs []int64) int64 {
-		sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-		return xs[len(xs)/2]
-	}
-	out := make([]ControlRun, len(cfgs))
-	for i, runs := range perCfg {
-		out[i] = ControlRun{Config: cfgs[i].name, Phases: make([]PhaseResult, len(phases))}
-		for pi := range phases {
-			cell := &out[i].Phases[pi]
-			cell.Phase = phases[pi].Name
-			var ops, p50, p99, peak, acts []int64
-			for _, r := range runs {
-				ops = append(ops, r.Phases[pi].Ops)
-				p50 = append(p50, r.Phases[pi].UpdateP50Ns)
-				p99 = append(p99, r.Phases[pi].UpdateP99Ns)
-				peak = append(peak, r.Phases[pi].PeakPendingBytes)
-				acts = append(acts, r.Phases[pi].Actuations)
-			}
-			cell.Ops = med(ops)
-			cell.UpdateP50Ns = med(p50)
-			cell.UpdateP99Ns = med(p99)
-			cell.PeakPendingBytes = med(peak)
-			cell.Actuations = med(acts)
-		}
-	}
-	return out
-}
-
-// ControlCompare runs the adaptive-vs-static phase A/B and renders it.
-// phaseSpec is the -phases flag value ("" takes churn:2s,read:2s,stall:2s).
-func ControlCompare(w io.Writer, o Options, phaseSpec string) []ControlRun {
-	o = o.defaulted()
-	if phaseSpec == "" {
-		phaseSpec = "churn:2s,read:2s,stall:2s"
-	}
-	phases, err := ParsePhases(phaseSpec)
-	if err != nil {
-		fmt.Fprintln(w, err)
-		return nil
-	}
-	threads := o.Threads[len(o.Threads)-1]
-	const rounds = 3
-	Section(w, "Adaptive control plane A/B: HE list size=1000, threads=%d, phases=%s, median of %d interleaved rounds", threads, phaseSpec, rounds)
-	runs := controlCompareRuns(o, phases, threads, rounds)
-	t := NewTable("config", "phase", "ops", "update p50 µs", "update p99 µs", "peak pending KiB", "actuations")
-	for _, r := range runs {
-		for _, p := range r.Phases {
-			t.Row(r.Config, p.Phase, p.Ops,
-				float64(p.UpdateP50Ns)/1e3, float64(p.UpdateP99Ns)/1e3,
-				float64(p.PeakPendingBytes)/1024, p.Actuations)
-		}
-	}
-	o.emit(w, t)
-	fmt.Fprintln(w, "Shape check: in churn, adaptive raises the starved watermark toward the")
-	fmt.Fprintln(w, "observed retire rate and widens the scan threshold (retire-storm feedback),")
-	fmt.Fprintln(w, "so its update p99 leaves the tight baseline — while staying well under the")
-	fmt.Fprintln(w, "wide baseline's pending bytes; under the stall, budget pressure tightens")
-	fmt.Fprintln(w, "the knobs back (gating if pending breaches the budget), so peak pending")
-	fmt.Fprintln(w, "stays near the tight bound. The budget for the adaptive run is 2x the")
-	fmt.Fprintln(w, "tight baseline's observed peak (self-calibrating, machine-independent).")
-	return runs
 }

@@ -13,8 +13,7 @@ import (
 // ClearTicks consecutive clean readings to clear), so a single noisy
 // snapshot neither pages nor silences. Alerts are structured events fanned
 // out to the Hub (/alerts.json, smr_alerts_* series) and, via the OnAlert
-// callback, to the JSONL sampler — the sensor layer the ROADMAP's adaptive
-// control plane will consume.
+// callback, to the JSONL sampler.
 //
 // Invariants watched per domain:
 //
@@ -254,8 +253,7 @@ func (m *Monitor) eval(s DomainSnapshot) []Alert {
 		// from draining, so a high queue with parked workers is a transient,
 		// not saturation. Workers counts only busy (non-parked) workers;
 		// requiring it to have caught up with WorkersTotal keeps the
-		// invariant from under-reporting headroom and feeding the control
-		// plane a biased scale-up signal.
+		// invariant from under-reporting headroom.
 		headroom := s.Offload.Workers < s.Offload.WorkersTotal
 		rs = append(rs, reading{
 			invariant: "offload-saturation",

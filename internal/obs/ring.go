@@ -29,9 +29,6 @@ const (
 	EvRegister
 	// EvUnregister: a slot was permanently unregistered. Value = slot id.
 	EvUnregister
-	// EvControl: the adaptive controller actuated a knob. Value = the new
-	// knob value; the session field carries the actuation ordinal.
-	EvControl
 )
 
 var kindNames = [...]string{
@@ -45,7 +42,6 @@ var kindNames = [...]string{
 	EvRelease:    "release",
 	EvRegister:   "register",
 	EvUnregister: "unregister",
-	EvControl:    "control",
 }
 
 func (k Kind) String() string {

@@ -21,8 +21,6 @@ import (
 //     lifecycle span, drained from the domain's tracer each tick.
 //   - alert:    {"alert": {...Alert...}} — one per health transition,
 //     written by the monitor through WriteAlert.
-//   - control:  {"control": {...ControlAction...}} — one per controller
-//     knob actuation, written by the control plane through WriteAction.
 //
 // cmd/heanalyze reconstructs timelines, age histograms and pin reports
 // from the mix offline.
@@ -45,11 +43,6 @@ type spanLine struct {
 // alertLine is the JSONL envelope for one health alert transition.
 type alertLine struct {
 	Alert Alert `json:"alert"`
-}
-
-// controlLine is the JSONL envelope for one controller actuation.
-type controlLine struct {
-	Control ControlAction `json:"control"`
 }
 
 // StartSampler samples domains() every interval, writing JSON lines to w.
@@ -121,21 +114,6 @@ func (s *Sampler) writeLine(d *Domain, v any) {
 // its OnAlert sink; safe for concurrent use with sampling.
 func (s *Sampler) WriteAlert(a Alert) {
 	line, err := json.Marshal(alertLine{Alert: a})
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	s.w.Write(line)
-	s.w.WriteByte('\n')
-	s.w.Flush()
-	s.mu.Unlock()
-}
-
-// WriteAction appends one controller-actuation line. The control plane
-// installs this as its OnAction sink; safe for concurrent use with
-// sampling.
-func (s *Sampler) WriteAction(a ControlAction) {
-	line, err := json.Marshal(controlLine{Control: a})
 	if err != nil {
 		return
 	}

@@ -129,7 +129,7 @@ func TestOffloadQueuedBytesClassAware(t *testing.T) {
 	}
 	// The watermark default still derives from the typed slot size.
 	wantWM := int64(8) * 1 * 1 * int64(arena.SlotBytes())
-	if wm := o.watermark.Load(); wm != wantWM {
+	if wm := o.watermark; wm != wantWM {
 		t.Fatalf("default watermark %d, want %d", wm, wantWM)
 	}
 }

@@ -298,12 +298,9 @@ func (h *Handle) NoteRetired(ref mem.Ref) {
 
 // ScanDue reports whether the session's retired list has reached the scan
 // threshold. Schemes call it after PushRetired; with the default threshold
-// of one this is true after every retire, reproducing Algorithm 3. The
-// threshold is a single atomic load so the control plane can retune it —
-// and force scan-per-retire admission backpressure (Base.SetGate) — while
-// traffic flows.
+// of one this is true after every retire, reproducing Algorithm 3.
 func (h *Handle) ScanDue() bool {
-	return int64(len(h.slot.rl.refs)) >= h.base.scanThreshold.Load()
+	return len(h.slot.rl.refs) >= h.base.scanThreshold
 }
 
 // Retired returns the session's retired list for in-place scanning. The

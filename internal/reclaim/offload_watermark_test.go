@@ -59,10 +59,11 @@ func TestOffloadWatermarkBackpressure(t *testing.T) {
 	d := newStubOffDomain(arena, Config{
 		MaxThreads: 2,
 		Slots:      1,
+		// Scan threshold R × MaxThreads × Slots = 4.
+		ScanR: 2,
 		// 1-byte watermark: any in-flight batch saturates the pipeline.
 		Offload: OffloadConfig{Workers: 1, WatermarkBytes: 1},
 	})
-	d.SetScanThreshold(4)
 	h := d.Register()
 	d.appHandle.Store(h)
 

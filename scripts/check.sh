@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full validation suite for the hazard-eras reproduction.
-# Usage: scripts/check.sh [quick|full|api|schemes|health|control]
+# Usage: scripts/check.sh [quick|full|api|schemes|health]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,8 +51,9 @@ if [ "$mode" = "health" ]; then
   # hysteresis and shutdown-hygiene unit tests, span conservation across
   # every reclaiming scheme, a live scrape proving the tracer histogram,
   # scheme-deep series and alert series are exported, an offline heanalyze
-  # pass over the recorded JSONL, and the stalled-reader demo raising AND
-  # clearing an era-stall alert.
+  # pass over the recorded JSONL, the stalled-reader demo raising AND
+  # clearing an era-stall alert, and a checked-arena stress of the offload
+  # pipeline under a shifting churn/read/stall phase schedule.
   echo "== monitor hysteresis + hub shutdown + dropped counters (race) =="
   go test -race -count=2 -run 'TestMonitorHysteresis|TestHubCloseShutsDownCleanly|TestDroppedEventsSurface' ./internal/obs/
   echo "== span conservation, every reclaiming scheme, seeded schedules (race) =="
@@ -91,7 +92,10 @@ if [ "$mode" = "health" ]; then
     '# TYPE smr_alert_active gauge'; do
     echo "$hscrape" | grep -qF "$series" || { echo "missing series: $series"; exit 1; }
   done
-  curl -sf "http://$haddr/alerts.json" | grep -q '"status"' || { echo "/alerts.json missing status"; exit 1; }
+  # Fetch before matching: piping curl into grep -q fails the pipeline
+  # under pipefail whenever grep exits before curl has written the body.
+  halerts=$(curl -sf "http://$haddr/alerts.json") || { echo "/alerts.json unreachable"; exit 1; }
+  grep -qF '"status"' <<<"$halerts" || { echo "/alerts.json missing status"; exit 1; }
   kill "$hpid" 2>/dev/null || true
   wait "$hpid" 2>/dev/null || true
   echo "== heanalyze offline pass over the recorded spans =="
@@ -102,76 +106,10 @@ if [ "$mode" = "health" ]; then
   go run ./examples/stalledreader > "$htmp/stalled.out"
   grep -q 'ALERT raise .*era-stall' "$htmp/stalled.out" || { echo "no era-stall raise"; cat "$htmp/stalled.out"; exit 1; }
   grep -q 'ALERT clear .*era-stall' "$htmp/stalled.out" || { echo "no era-stall clear"; cat "$htmp/stalled.out"; exit 1; }
+  echo "== offload + phase-schedule stress (checked arenas: exit 1 on any fault) =="
+  go run ./cmd/hestress -struct list,map -scheme HE,EBR -offload 1 -monitor \
+    -phases churn:300ms,read:200ms,stall:300ms
   echo "ALL CHECKS PASSED (health)"
-  exit 0
-fi
-
-if [ "$mode" = "control" ]; then
-  # Adaptive-control-plane gate (CI job check-control): the deterministic
-  # controller decision tests, live-retune safety under -race, the public
-  # Domain.Controller surface, a live phase-shifting stress proving the
-  # smr_control_* series export with at least one actuation during the
-  # stall, and the static-vs-adaptive A/B smoke.
-  echo "== controller decision procedure (deterministic step, policy swap, race) =="
-  go test -race -count=2 ./internal/control/
-  echo "== live knobs under load: resize/poison-segment, gate, watermark (race) =="
-  go test -race -run 'TestWorkerResizeUnderLoad' ./internal/reclaim/
-  echo "== public Domain.Controller surface (race) =="
-  go test -race -run 'TestDomainController' ./smr/
-  echo "== live phase-shifting stress: smr_control_* series + stall actuation =="
-  ctmp=$(mktemp -d)
-  trap 'rm -rf "$ctmp"' EXIT
-  go build -o "$ctmp/hestress" ./cmd/hestress
-  # EBR balloons under a parked reader, so a tight budget guarantees a
-  # breach — and with -gate, a gate actuation — inside the stall phase.
-  "$ctmp/hestress" -struct list -scheme EBR -threads 2 -dur 4s \
-    -offload 1 -control -gate -budget 65536 -monitor \
-    -phases churn:600ms,read:400ms,stall:1s \
-    -metrics 127.0.0.1:0 -sample "$ctmp/control.jsonl" \
-    > "$ctmp/hestress.out" 2>&1 &
-  cpid=$!
-  caddr=""
-  for _ in $(seq 1 150); do
-    caddr=$(sed -n 's|^metrics: http://\([^/]*\)/metrics$|\1|p' "$ctmp/hestress.out")
-    [ -n "$caddr" ] && break
-    sleep 0.2
-  done
-  [ -n "$caddr" ] || { echo "hestress never announced its metrics address"; cat "$ctmp/hestress.out"; exit 1; }
-  # Wait for the stall phase to trigger the gate; hestress exits when its
-  # -dur elapses, so keep the last successful scrape rather than racing a
-  # final fetch against process exit.
-  acted=""
-  cscrape=""
-  for _ in $(seq 1 100); do
-    s=$(curl -sf "http://$caddr/metrics" 2>/dev/null) || break
-    cscrape="$s"
-    if echo "$cscrape" | grep 'smr_control_actuations_total{scheme="EBR"}' | grep -qv ' 0$'; then
-      acted=1; break
-    fi
-    sleep 0.2
-  done
-  for series in \
-    'smr_control_scan_threshold{scheme="EBR"}' \
-    'smr_control_workers{scheme="EBR"}' \
-    'smr_control_watermark_bytes{scheme="EBR"}' \
-    'smr_control_budget_bytes{scheme="EBR"}' \
-    'smr_control_headroom_bytes{scheme="EBR"}' \
-    'smr_control_gated{scheme="EBR"}' \
-    'smr_control_actuations_total{scheme="EBR"}' \
-    'smr_control_gate_engagements_total{scheme="EBR"}'; do
-    echo "$cscrape" | grep -qF "$series" || { echo "missing series: $series"; exit 1; }
-  done
-  [ -n "$acted" ] || { echo "controller never actuated during the phase schedule"; echo "$cscrape" | grep smr_control_ || true; exit 1; }
-  echo "$cscrape" | grep 'smr_control_gate_engagements_total{scheme="EBR"}' | grep -qv ' 0$' \
-    || { echo "gate never engaged during the stall breach"; exit 1; }
-  wait "$cpid" || { echo "hestress run failed"; cat "$ctmp/hestress.out"; exit 1; }
-  grep -q '"control"' "$ctmp/control.jsonl" || { echo "no actuation lines in sampler JSONL"; exit 1; }
-  go run ./cmd/heanalyze "$ctmp/control.jsonl" | grep -q 'controller actuations:' \
-    || { echo "heanalyze produced no actuation report"; exit 1; }
-  echo "== static-vs-adaptive A/B smoke (hebench -exp control) =="
-  go run ./cmd/hebench -exp control -threads 2 -phases churn:400ms,read:300ms,stall:400ms > "$ctmp/ab.out"
-  grep -q 'adaptive' "$ctmp/ab.out" || { echo "A/B table missing the adaptive row"; cat "$ctmp/ab.out"; exit 1; }
-  echo "ALL CHECKS PASSED (control)"
   exit 0
 fi
 

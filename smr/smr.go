@@ -1,10 +1,6 @@
 package smr
 
 import (
-	"sync"
-	"time"
-
-	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/ebr"
 	"repro/internal/hp"
@@ -91,20 +87,6 @@ func NewInstrument(maxThreads int) *Instrument { return reclaim.NewInstrument(ma
 // OffloadConfig configures the background reclamation pipeline
 // (Config.Offload).
 type OffloadConfig = reclaim.OffloadConfig
-
-// ControlConfig opts a domain into the adaptive control plane
-// (Config.Control): a per-domain feedback controller that retunes the scan
-// threshold, offload watermark and worker count live, keeping retire
-// latency flat and pending memory inside a budget as the load shifts.
-type ControlConfig = reclaim.ControlConfig
-
-// Controller is the adaptive feedback controller driving a domain's live
-// knobs; obtain one from Domain.Controller.
-type Controller = control.Controller
-
-// ControlPolicy is the controller's declarative, hot-swappable rule set
-// (Controller.SetPolicy). The zero value takes target-relative defaults.
-type ControlPolicy = control.Policy
 
 // Factory constructs a reclamation backend over an allocator. The factories
 // in internal/bench and the Scheme.Factory method both have this shape;
@@ -230,9 +212,6 @@ type Domain[T any] struct {
 	dom   Backend
 	arena *Arena[T]
 	cfg   Config
-
-	ctlOnce sync.Once
-	ctl     *control.Controller
 }
 
 // New builds a Domain running scheme s. cfg zero values take the usual
@@ -370,38 +349,4 @@ func (d *Domain[T]) Observe(hub *Hub, name string) {
 	od := obs.NewDomain(name, obs.Config{Sessions: d.cfg.MaxThreads})
 	oc.EnableObs(od)
 	hub.Attach(od)
-	// With control enabled, bringing the controller up here — after the obs
-	// domain exists — lets Attach install the control-status source and
-	// budget gauge, so /metrics carries the smr_control_* series.
-	if d.cfg.Control.Enabled {
-		d.Controller()
-	}
-}
-
-// Controller returns the domain's adaptive feedback controller, creating
-// and starting it on first call; nil unless Config.Control.Enabled. When
-// observability is wanted too, call Observe first — the controller then
-// publishes its status and actuation events through the obs domain. The
-// controller stops automatically when the domain drains.
-func (d *Domain[T]) Controller() *Controller {
-	if !d.cfg.Control.Enabled {
-		return nil
-	}
-	d.ctlOnce.Do(func() {
-		tn, ok := d.dom.(interface{ Tuner() *reclaim.Tuner })
-		if !ok {
-			return // scheme has no live knobs; Controller stays nil
-		}
-		ctl, _ := control.New(control.Config{
-			Interval: time.Duration(d.cfg.Control.IntervalMillis) * time.Millisecond,
-			Policy: control.Policy{
-				BudgetBytes: d.cfg.Control.BudgetBytes,
-				Gate:        d.cfg.Control.Gate,
-			},
-		})
-		ctl.Attach(tn.Tuner())
-		ctl.Start()
-		d.ctl = ctl
-	})
-	return d.ctl
 }
