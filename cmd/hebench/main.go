@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/obs"
 	"repro/internal/reclaim"
 )
 
@@ -42,15 +41,11 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "PRNG seed")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		grow    = flag.Bool("grow", false, "undersize every registry (initial capacity 2) so workers register through dynamically grown slot blocks")
-		metrics = flag.String("metrics", "", "serve live metrics on this address (/metrics Prometheus text, /metrics.json, /events.json flight recorder, /debug/vars, /debug/pprof); e.g. :9090 or 127.0.0.1:0")
-		sample  = flag.String("sample", "", "append per-domain observability snapshots to this file as JSON lines")
-		every   = flag.Duration("sample-every", 100*time.Millisecond, "sampling interval for -sample")
 		hold    = flag.Duration("hold", 0, "keep the -metrics endpoint alive this long after the experiments finish (so scrapers catch the final state)")
 		offload = flag.Int("offload", 0, "background reclaimer goroutines per domain (0 = inline reclamation)")
 		offWm   = flag.Int64("offload-watermark", 0, "offload backpressure watermark in pending bytes (0 = 8x the inline scan-threshold footprint)")
+		obsF    = bench.RegisterObsFlags(flag.CommandLine)
 		valsize = flag.String("valsize", "0", "per-key []byte payload size: 0 = word values (off), N = fixed N bytes, zipf:N = skewed sizes in [8,N]")
-		trace   = flag.String("trace", "", "sampled per-ref lifecycle tracing: \"all\" = every allocation, N = 1 in 2^N (adds reclamation-age and pinned-ref telemetry to /metrics.json and span lines to -sample)")
-		monitor = flag.Bool("monitor", false, "run the online health monitor: invariant alerts at /alerts.json and smr_alerts_*, alert lines to -sample")
 	)
 	flag.Parse()
 
@@ -65,50 +60,16 @@ func main() {
 	}
 	bench.SetValSizer(sizer)
 
-	if *trace != "" {
-		tc, err := bench.ParseTrace(*trace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		bench.SetObsTrace(tc)
+	hub, err := obsF.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-
-	if *metrics != "" || *sample != "" || *trace != "" || *monitor {
-		hub := obs.NewHub()
-		bench.SetObsHub(hub)
-		// Close stops the monitor, flushes and stops the sampler, and joins
-		// the metrics server — in that order, so shutdown alerts still reach
-		// the sample file. Runs after the final sample and the -hold window.
+	if hub != nil {
+		// Runs after the final sample and the -hold window.
 		defer hub.Close()
-		if *metrics != "" {
-			addr, _, err := hub.Serve(*metrics)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("metrics: http://%s/metrics\n", addr)
+		if obsF.Serving() {
 			defer time.Sleep(*hold)
-		}
-		var smp *obs.Sampler
-		if *sample != "" {
-			var err error
-			smp, err = obs.StartFileSampler(*sample, *every, hub.Domains)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sample: %v\n", err)
-				os.Exit(1)
-			}
-			hub.SetSampler(smp)
-		}
-		if *monitor {
-			mon := obs.NewMonitor(obs.MonitorConfig{}, hub.Domains)
-			mon.SetOnAlert(func(a obs.Alert) {
-				if smp != nil {
-					smp.WriteAlert(a)
-				}
-			})
-			hub.SetMonitor(mon)
-			mon.Start()
 		}
 	}
 

@@ -12,7 +12,8 @@
 //     seed that exposes it.
 //
 //   - Linearizability (struct suite): bounded concurrent histories of the
-//     list, hash map, queue and stack under every scheme, recorded with
+//     list, hash map, queue and stack under every scheme bench.CanRun
+//     admits for the structure, recorded with
 //     internal/linz and checked against the sequential model (Wing-Gong).
 //
 // Every failure names its schedule seed; rerunning with -seed N replays
@@ -27,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -49,7 +49,7 @@ import (
 var (
 	flagSuite     = flag.String("suite", "all", "suite to run: domain, struct, all")
 	flagStruct    = flag.String("struct", "", "comma-separated structure filter (list,map,queue,stack)")
-	flagScheme    = flag.String("scheme", "", "comma-separated scheme filter (HP,HE,HE-minmax,IBR,EBR,URCU,hyaline-1r,WFE,RC,NONE)")
+	flagScheme    = flag.String("scheme", "", "comma-separated scheme filter (HP,HE,HE-minmax,IBR,EBR,URCU,hyaline-1r,hyaline,WFE,RC,NONE)")
 	flagSeeds     = flag.Uint64("seeds", 8, "number of schedule seeds to explore (1..N)")
 	flagSeed      = flag.Uint64("seed", 0, "replay exactly this schedule seed (overrides -seeds)")
 	flagWorkers   = flag.Int("workers", 3, "workers per schedule (struct suite: all mixed; domain suite: readers + writer(s))")
@@ -60,10 +60,9 @@ var (
 	flagVerbose   = flag.Bool("v", false, "print every combination, not only failures")
 )
 
-// rcUnsafeStructs mirrors cmd/hestress's exclusion set for the structures
-// this driver checks: Valois slot-level counts cannot span the Harris
-// list's frozen marked cells (and everything built on them).
-var rcUnsafeStructs = map[string]bool{"list": true, "map": true}
+// checkStructs are the structures the struct suite has a sequential model
+// for.
+var checkStructs = []string{"list", "map", "queue", "stack"}
 
 func main() {
 	flag.Parse()
@@ -79,8 +78,14 @@ func main() {
 		fatalf("%v", err)
 	}
 	seeds := seedList()
-	schemes := filterSchemes()
-	structs := filterStructs()
+	schemes, err := bench.PickSchemes(*flagScheme)
+	if err != nil {
+		fatalf("-scheme: %v", err)
+	}
+	structs, err := bench.Pick(*flagStruct, checkStructs, func(s string) string { return s })
+	if err != nil {
+		fatalf("-struct: %v", err)
+	}
 
 	var failures []string
 	runs := 0
@@ -99,7 +104,7 @@ func main() {
 	if (*flagSuite == "struct" || *flagSuite == "all") && mutation == nil {
 		for _, sch := range schemes {
 			for _, st := range structs {
-				if sch.Name == "RC" && rcUnsafeStructs[st] {
+				if !bench.CanRun(sch, st) {
 					continue
 				}
 				for _, seed := range seeds {
@@ -207,48 +212,6 @@ func seedList() []uint64 {
 		seeds = append(seeds, s)
 	}
 	return seeds
-}
-
-func filterSchemes() []bench.Scheme {
-	all := bench.AllSchemes()
-	if *flagScheme == "" {
-		return all
-	}
-	want := map[string]bool{}
-	for _, n := range strings.Split(*flagScheme, ",") {
-		want[strings.TrimSpace(n)] = true
-	}
-	var out []bench.Scheme
-	for _, s := range all {
-		if want[s.Name] {
-			out = append(out, s)
-		}
-	}
-	if len(out) == 0 {
-		fatalf("no scheme matches %q", *flagScheme)
-	}
-	return out
-}
-
-func filterStructs() []string {
-	all := []string{"list", "map", "queue", "stack"}
-	if *flagStruct == "" {
-		return all
-	}
-	want := map[string]bool{}
-	for _, n := range strings.Split(*flagStruct, ",") {
-		want[strings.TrimSpace(n)] = true
-	}
-	var out []string
-	for _, s := range all {
-		if want[s] {
-			out = append(out, s)
-		}
-	}
-	if len(out) == 0 {
-		fatalf("no structure matches %q", *flagStruct)
-	}
-	return out
 }
 
 func report(suite, scheme string, seed uint64, violations []string, failures *[]string) {

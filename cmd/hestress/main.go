@@ -13,8 +13,9 @@
 //
 // Structures: list, map, queue, stack, bst, wfq, skiplist, all. Schemes:
 // HP, HE, HE-minmax, IBR, EBR, URCU, hyaline-1r, hyaline, WFE, RC, NONE,
-// all. -grow undersizes every
-// registry so the dynamic session-growth path (Register past the initial
+// all. An unknown name is an error (exit 2). A pair that bench.CanRun
+// refuses (the re-use-only RC on a structure that needs reclamation) is
+// printed as skipped. -grow undersizes every registry so the dynamic session-growth path (Register past the initial
 // capacity) is exercised under full contention; registration never fails
 // either way. -valsize N (or zipf:N) attaches a variable-size []byte
 // payload to every key of the set-like structures, stressing the byte-class
@@ -24,14 +25,14 @@
 // (update-heavy), read (read-only), stall (a parked reader on pinnable
 // structures) — so reclamation, and the offload pipeline with -offload,
 // runs under a shifting load.
-// Exit status 1 if any fault was detected.
+// Exit status 1 if any fault was detected, 2 on a bad flag or a failed
+// observability setup.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +41,6 @@ import (
 	"repro/internal/bst"
 	"repro/internal/hashmap"
 	"repro/internal/list"
-	"repro/internal/obs"
 	"repro/internal/queue"
 	"repro/internal/reclaim"
 	"repro/internal/skiplist"
@@ -49,34 +49,16 @@ import (
 	"repro/smr"
 )
 
-type stressTarget struct {
-	name string
-	run  func(s bench.Scheme, threads int, dur time.Duration) (faults int64, ops int64)
-	// rcUnsafe marks structures with interior cells that deletion freezes
-	// forever (list-shaped traversals): Valois-style reference counting is
-	// unsound for true reclamation there (paper §1 on [28]) and is skipped.
-	// The wait-free queue is also marked: its helping protocol hands
-	// descriptor refs between threads through the announcement array, and
-	// slot-level counts cannot distinguish slot incarnations across the
-	// recycle a helper races with — checked runs fault nondeterministically
-	// on a stale descriptor dereference in help(). RC is re-usage-only
-	// there too.
-	rcUnsafe bool
-}
-
-// stressTargets is the full roster with its RC-exclusion markings; package
-// level so the regression test can pin the exclusion set (notably wfq —
-// see FAULT-WFQ-RC-001 in internal/wfqueue).
-func stressTargets() []stressTarget {
-	return []stressTarget{
-		{"list", stressList, true},
-		{"map", stressMap, true},
-		{"queue", stressQueue, false},
-		{"stack", stressStack, false},
-		{"bst", stressBST, true},
-		{"wfq", stressWFQueue, true},
-		{"skiplist", stressSkipList, true},
-	}
+// stressRuns drives each structure of bench.Structures under one scheme;
+// bench.CanRun decides which schemes may run it.
+var stressRuns = map[string]func(s bench.Scheme, threads int, dur time.Duration) (faults, ops int64){
+	"list":     stressList,
+	"map":      stressMap,
+	"queue":    stressQueue,
+	"stack":    stressStack,
+	"bst":      stressBST,
+	"wfq":      stressWFQueue,
+	"skiplist": stressSkipList,
 }
 
 func main() {
@@ -86,14 +68,10 @@ func main() {
 		threads = flag.Int("threads", 8, "concurrent workers")
 		dur     = flag.Duration("dur", time.Second, "stress duration per combination")
 		grow    = flag.Bool("grow", false, "undersize the registries (initial capacity 2) so every run exercises dynamic session growth")
-		metrics = flag.String("metrics", "", "serve live metrics on this address (/metrics, /metrics.json, /events.json, /debug/pprof); e.g. :9090")
-		sample  = flag.String("sample", "", "append per-domain observability snapshots to this file as JSON lines")
-		every   = flag.Duration("sample-every", 100*time.Millisecond, "sampling interval for -sample")
 		offload = flag.Int("offload", 0, "background reclaimer goroutines per domain (0 = inline reclamation)")
 		valsize = flag.String("valsize", "0", "per-key []byte payload size for set-like structures: 0 = word values (off), N = fixed N bytes, zipf:N = skewed sizes in [8,N]")
-		trace   = flag.String("trace", "", "sampled per-ref lifecycle tracing: \"all\" = every allocation, N = 1 in 2^N")
-		monitor = flag.Bool("monitor", false, "run the online health monitor: invariant alerts at /alerts.json and smr_alerts_*, alert lines to -sample")
 		phasesF = flag.String("phases", "", "shift the stress-regime over a phase schedule, e.g. churn:3s,read:3s,stall:3s (looped for the run; stall parks a reader on pinnable structures)")
+		obsF    = bench.RegisterObsFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	growMode = *grow
@@ -117,103 +95,41 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *trace != "" {
-		tc, err := bench.ParseTrace(*trace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		bench.SetObsTrace(tc)
+	hub, err := obsF.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-
-	if *metrics != "" || *sample != "" || *trace != "" || *monitor {
-		hub := obs.NewHub()
-		bench.SetObsHub(hub)
-		// Close stops the monitor, flushes and stops the sampler, and joins
-		// the metrics server — in that order, so shutdown alerts still reach
-		// the sample file. Runs after the final sample below.
+	if hub != nil {
+		// Runs after the final sample below.
 		defer hub.Close()
-		if *metrics != "" {
-			addr, _, err := hub.Serve(*metrics)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("metrics: http://%s/metrics\n", addr)
-		}
-		var smp *obs.Sampler
-		if *sample != "" {
-			var err error
-			smp, err = obs.StartFileSampler(*sample, *every, hub.Domains)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sample: %v\n", err)
-				os.Exit(1)
-			}
-			hub.SetSampler(smp)
-		}
-		if *monitor {
-			mon := obs.NewMonitor(obs.MonitorConfig{}, hub.Domains)
-			mon.SetOnAlert(func(a obs.Alert) {
-				if smp != nil {
-					smp.WriteAlert(a)
-				}
-			})
-			hub.SetMonitor(mon)
-			mon.Start()
-		}
 	}
 
-	roster := map[string]bench.Scheme{}
-	for _, s := range bench.AllSchemes() {
-		roster[s.Name] = s
+	picked, err := bench.PickSchemes(*schemes)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "-scheme:", err)
+		os.Exit(2)
 	}
-	var picked []bench.Scheme
-	if *schemes == "all" {
-		picked = bench.AllSchemes()
-	} else {
-		for _, name := range strings.Split(*schemes, ",") {
-			s, ok := roster[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown scheme %q\n", name)
-				os.Exit(2)
-			}
-			picked = append(picked, s)
-		}
-	}
-
-	targets := stressTargets()
-	if *structs != "all" {
-		want := map[string]bool{}
-		for _, n := range strings.Split(*structs, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
-		var filtered []stressTarget
-		for _, t := range targets {
-			if want[t.name] {
-				filtered = append(filtered, t)
-			}
-		}
-		if len(filtered) == 0 {
-			fmt.Fprintf(os.Stderr, "no structures matched %q\n", *structs)
-			os.Exit(2)
-		}
-		targets = filtered
+	targets, err := bench.Pick(*structs, bench.Structures, func(st bench.Structure) string { return st.Name })
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "-struct:", err)
+		os.Exit(2)
 	}
 
 	failed := false
 	for _, t := range targets {
 		for _, s := range picked {
-			if t.rcUnsafe && s.Name == "RC" {
-				fmt.Printf("%-6s %-10s %10s  skipped: Valois RC is re-usage-only on frozen-cell structures (paper [28])\n", t.name, s.Name, "-")
+			if !bench.CanRun(s, t.Name) {
+				fmt.Printf("%-6s %-10s %10s  skipped: %s only re-uses objects and %s needs a reclaiming scheme (paper [28])\n", t.Name, s.Name, "-", s.Name, t.Name)
 				continue
 			}
-			faults, ops := t.run(s, *threads, *dur)
+			faults, ops := stressRuns[t.Name](s, *threads, *dur)
 			status := "OK"
 			if faults > 0 {
 				status = "FAULTS DETECTED"
 				failed = true
 			}
-			fmt.Printf("%-6s %-10s %10d ops  %3d faults  %s\n", t.name, s.Name, ops, faults, status)
+			fmt.Printf("%-6s %-10s %10d ops  %3d faults  %s\n", t.Name, s.Name, ops, faults, status)
 		}
 	}
 	if failed {

@@ -1,39 +1,20 @@
 package main
 
-import "testing"
+import (
+	"testing"
 
-// TestRCExclusionSetPinned is a regression pin on the rcUnsafe markings:
-// Valois slot-level reference counting is re-usage-only on structures with
-// frozen interior cells (list-shaped traversals, paper §1 on [28]) and on
-// the wait-free queue, whose helping protocol hands descriptor refs across
-// threads through the announcement array (FAULT-WFQ-RC-001, reproduced as
-// a bounded schedule in internal/wfqueue). Removing any of these markings
-// would re-admit a known-unsound combination into the stress matrix.
-func TestRCExclusionSetPinned(t *testing.T) {
-	want := map[string]bool{
-		"list":     true,
-		"map":      true,
-		"queue":    false,
-		"stack":    false,
-		"bst":      true,
-		"wfq":      true,
-		"skiplist": true,
+	"repro/internal/bench"
+)
+
+// TestEveryStructureHasARunner keeps the stress matrix in step with the
+// structure table: every structure bench.Structures lists has a driver.
+func TestEveryStructureHasARunner(t *testing.T) {
+	if len(stressRuns) != len(bench.Structures) {
+		t.Errorf("%d stress runners for %d structures", len(stressRuns), len(bench.Structures))
 	}
-	targets := stressTargets()
-	if len(targets) != len(want) {
-		t.Fatalf("stress roster has %d targets, want %d", len(targets), len(want))
-	}
-	for _, tgt := range targets {
-		unsafe, ok := want[tgt.name]
-		if !ok {
-			t.Errorf("unexpected stress target %q", tgt.name)
-			continue
+	for _, st := range bench.Structures {
+		if stressRuns[st.Name] == nil {
+			t.Errorf("structure %q has no stress runner", st.Name)
 		}
-		if tgt.rcUnsafe != unsafe {
-			t.Errorf("target %q: rcUnsafe = %v, want %v", tgt.name, tgt.rcUnsafe, unsafe)
-		}
-	}
-	if !want["wfq"] {
-		t.Fatal("wfq must stay RC-excluded (FAULT-WFQ-RC-001)")
 	}
 }

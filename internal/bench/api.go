@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/mem"
 	"repro/internal/reclaim"
@@ -181,26 +180,6 @@ func median(xs []float64) float64 {
 	return m
 }
 
-// abMedians alternates timed slices of the two sides over one long run and
-// returns each side's median slice cost in ns/op. One warmup slice per side
-// (magazine fill, branch history) runs untimed.
-func abMedians(slices, sliceIters int, internal, public func(int)) (medInt, medPub float64) {
-	perOp := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(sliceIters) }
-	internal(sliceIters)
-	public(sliceIters)
-	ti := make([]float64, 0, slices)
-	tp := make([]float64, 0, slices)
-	for k := 0; k < slices; k++ {
-		t0 := time.Now()
-		internal(sliceIters)
-		ti = append(ti, perOp(time.Since(t0)))
-		t0 = time.Now()
-		public(sliceIters)
-		tp = append(tp, perOp(time.Since(t0)))
-	}
-	return median(ti), median(tp)
-}
-
 // APICompare runs the public-vs-internal A/B. which selects the sides:
 // "both" (the default) interleaves them and reports the overhead ratio;
 // "public" and "internal" run one side only — the single-side modes are the
@@ -218,17 +197,7 @@ func APICompare(w io.Writer, o Options, which string) {
 				fixture = b.internal
 			}
 			for _, s := range []Scheme{HE(), HP()} {
-				run, teardown := fixture(s)
-				perOp := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.sliceIters) }
-				run(b.sliceIters)
-				vs := make([]float64, 0, rounds)
-				for r := 0; r < rounds; r++ {
-					t0 := time.Now()
-					run(b.sliceIters)
-					vs = append(vs, perOp(time.Since(t0)))
-				}
-				teardown()
-				t.Row(b.name, s.Name, median(vs))
+				t.Row(b.name, s.Name, rosterMedians(rounds, b.sliceIters, on(fixture, s))[0])
 			}
 		}
 		o.emit(w, t)
@@ -237,12 +206,8 @@ func APICompare(w io.Writer, o Options, which string) {
 		t := NewTable("benchmark", "scheme", "internal ns/op", "public ns/op", "public/internal")
 		for _, b := range apiBenchmarks {
 			for _, s := range []Scheme{HE(), HP()} {
-				runInt, downInt := b.internal(s)
-				runPub, downPub := b.public(s)
-				mi, mp := abMedians(apiSlices, b.sliceIters, runInt, runPub)
-				downInt()
-				downPub()
-				t.Row(b.name, s.Name, mi, mp, mp/mi)
+				meds := rosterMedians(apiSlices, b.sliceIters, on(b.internal, s), on(b.public, s))
+				t.Row(b.name, s.Name, meds[0], meds[1], meds[1]/meds[0])
 			}
 		}
 		o.emit(w, t)

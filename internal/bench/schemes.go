@@ -1,20 +1,14 @@
 package bench
 
 import (
-	"fmt"
-	"strconv"
-
 	"repro/internal/core"
-	"repro/internal/ebr"
 	"repro/internal/hp"
-	"repro/internal/hyaline"
 	"repro/internal/ibr"
 	"repro/internal/leak"
 	"repro/internal/obs"
 	"repro/internal/rc"
 	"repro/internal/reclaim"
-	"repro/internal/urcu"
-	"repro/internal/wfe"
+	"repro/smr"
 )
 
 // Factory constructs a reclamation domain over an allocator; it matches
@@ -25,6 +19,11 @@ type Factory func(alloc reclaim.Allocator, cfg reclaim.Config) reclaim.Domain
 type Scheme struct {
 	Name string
 	Make Factory
+	// ReuseOnly marks a scheme that re-uses objects but does not reclaim
+	// them: Valois reference counting, which the paper (§1 on [28])
+	// credits with "only the re-usage of objects". CanRun keeps it off the
+	// structures that need a reclaiming scheme.
+	ReuseOnly bool
 }
 
 // obsHub, when non-nil, receives an observability domain for every
@@ -39,9 +38,6 @@ var obsHub *obs.Hub
 // structures are being built concurrently.
 func SetObsHub(hub *obs.Hub) { obsHub = hub }
 
-// ObsHub returns the hub installed by SetObsHub, or nil.
-func ObsHub() *obs.Hub { return obsHub }
-
 // obsTrace is the lifecycle-tracing configuration applied to every obs
 // domain the schemes below construct; the zero value (Enabled false) keeps
 // tracing off even when a hub is installed.
@@ -52,28 +48,6 @@ var obsTrace obs.TraceConfig
 // Only takes effect alongside SetObsHub; same construction-time-only
 // discipline.
 func SetObsTrace(tc obs.TraceConfig) { obsTrace = tc }
-
-// ObsTrace returns the tracing configuration installed by SetObsTrace.
-func ObsTrace() obs.TraceConfig { return obsTrace }
-
-// ParseTrace parses the drivers' -trace flag: "" is off, "all" traces every
-// allocation, and a number N samples one allocation in 2^N.
-func ParseTrace(s string) (obs.TraceConfig, error) {
-	switch s {
-	case "":
-		return obs.TraceConfig{}, nil
-	case "all":
-		return obs.TraceConfig{Enabled: true, SampleAll: true}, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 || n > 32 {
-		return obs.TraceConfig{}, fmt.Errorf("bad -trace value %q: want \"all\" or a sample shift in 0..32", s)
-	}
-	if n == 0 {
-		return obs.TraceConfig{Enabled: true, SampleAll: true}, nil
-	}
-	return obs.TraceConfig{Enabled: true, SampleShift: uint(n)}, nil
-}
 
 // offloadCfg, when Workers > 0, is applied to every subsequently constructed
 // scheme domain: retired batches go to that many background reclaimer
@@ -87,9 +61,6 @@ var offloadCfg reclaim.OffloadConfig
 // not safe to flip while structures are being built concurrently.
 func SetOffload(oc reclaim.OffloadConfig) { offloadCfg = oc }
 
-// Offload returns the pipeline configuration installed by SetOffload.
-func Offload() reclaim.OffloadConfig { return offloadCfg }
-
 // obsCapable is satisfied by every scheme through the promoted
 // reclaim.Base.EnableObs.
 type obsCapable interface{ EnableObs(*obs.Domain) }
@@ -98,7 +69,7 @@ type obsCapable interface{ EnableObs(*obs.Domain) }
 // installed. The display name (not Domain.Name) labels the obs domain so
 // parameterized variants (HE-R1, HE-k10) stay distinguishable.
 func scheme(name string, mk Factory) Scheme {
-	return Scheme{name, func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
+	return Scheme{Name: name, Make: func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
 		if c.Offload.Workers == 0 {
 			c.Offload = offloadCfg
 		}
@@ -114,12 +85,13 @@ func scheme(name string, mk Factory) Scheme {
 	}}
 }
 
+// public builds the bench Scheme for one of the smr package's schemes:
+// same display name, same backend constructor (smr.Scheme.Factory), so
+// each public scheme is constructed in exactly one place.
+func public(s smr.Scheme) Scheme { return scheme(s.String(), s.Factory()) }
+
 // HE returns the Hazard Eras scheme (paper Algorithms 1-3).
-func HE() Scheme {
-	return scheme("HE", func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-		return core.New(a, c)
-	})
-}
+func HE() Scheme { return public(smr.HE) }
 
 // HEk returns Hazard Eras with the §3.4 k-advance option.
 func HEk(k int) Scheme {
@@ -129,18 +101,10 @@ func HEk(k int) Scheme {
 }
 
 // HEMinMax returns Hazard Eras with the §3.4 min/max-publication option.
-func HEMinMax() Scheme {
-	return scheme("HE-minmax", func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-		return core.New(a, c, core.WithMinMax(true))
-	})
-}
+func HEMinMax() Scheme { return public(smr.HEMinMax) }
 
 // HP returns the Hazard Pointers baseline.
-func HP() Scheme {
-	return scheme("HP", func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-		return hp.New(a, c)
-	})
-}
+func HP() Scheme { return public(smr.HP) }
 
 // HPr returns Hazard Pointers with a custom scan threshold (R factor).
 func HPr(r int) Scheme {
@@ -168,58 +132,37 @@ func IBRr(r int) Scheme {
 }
 
 // EBR returns the epoch-based baseline.
-func EBR() Scheme {
-	return scheme("EBR", func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-		return ebr.New(a, c)
-	})
-}
+func EBR() Scheme { return public(smr.EBR) }
 
 // URCU returns the Grace-Version URCU baseline.
-func URCU() Scheme {
-	return scheme("URCU", func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-		return urcu.New(a, c)
-	})
-}
+func URCU() Scheme { return public(smr.URCU) }
 
 // IBR returns 2GE interval-based reclamation (Wen et al. 2018), the
 // follow-on scheme Hazard Eras inspired.
-func IBR() Scheme {
-	return scheme("IBR", func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-		return ibr.New(a, c)
-	})
-}
+func IBR() Scheme { return public(smr.IBR) }
 
 // Hyaline returns robust Hyaline-1R (Nikolaev & Ravindran, arXiv:1905.07903):
 // per-batch reference-counted handoff with the birth-era filter that bounds
 // memory under stalled readers.
-func Hyaline() Scheme {
-	return scheme("hyaline-1r", func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-		return hyaline.New(a, c)
-	})
-}
+func Hyaline() Scheme { return public(smr.Hyaline) }
 
 // HyalineNonRobust returns plain Hyaline: every batch goes to every active
 // session, so a stalled reader pins all subsequent retirements (EBR's
 // failure mode — the unbounded side of the stalled-reader A/B).
-func HyalineNonRobust() Scheme {
-	return scheme("hyaline", func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-		return hyaline.New(a, c, hyaline.WithRobust(false))
-	})
-}
+func HyalineNonRobust() Scheme { return public(smr.HyalinePlain) }
 
 // WFE returns Wait-Free Eras (Nikolaev & Ravindran, arXiv:2001.01999): HE
 // with a bounded Protect retry loop backed by an announce/help protocol.
-func WFE() Scheme {
-	return scheme("WFE", func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-		return wfe.New(a, c)
-	})
-}
+func WFE() Scheme { return public(smr.WFE) }
 
-// RC returns the reference-counting baseline.
+// RC returns the Valois reference-counting baseline. It is the roster's one
+// re-use-only scheme (see Scheme.ReuseOnly).
 func RC() Scheme {
-	return scheme("RC", func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
+	s := scheme("RC", func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
 		return rc.New(a, c)
 	})
+	s.ReuseOnly = true
+	return s
 }
 
 // Leak returns the no-reclamation control.
@@ -238,6 +181,56 @@ func Figure4Schemes() []Scheme { return []Scheme{HP(), HE(), URCU()} }
 // unbounded side of the robustness A/B under the same suites.
 func AllSchemes() []Scheme {
 	return []Scheme{HP(), HE(), HEMinMax(), IBR(), EBR(), URCU(), Hyaline(), HyalineNonRobust(), WFE(), RC(), Leak()}
+}
+
+// Structure is one row of the structure table: a data structure the
+// drivers run, and whether it needs a reclaiming scheme.
+type Structure struct {
+	Name string
+	// NeedsReclaim is set where a slot-level reference count cannot tell
+	// slot incarnations apart: deletion freezes interior cells that a
+	// counted acquisition still validates against (list, map, bst,
+	// skiplist), or a helper dereferences another thread's descriptor
+	// through the announcement array (wfq, FAULT-WFQ-RC-001 in
+	// internal/wfqueue). The Treiber stack and the Michael-Scott queue
+	// validate only against live top-level anchors (head, tail).
+	NeedsReclaim bool
+}
+
+// Structures is the structure table, in the drivers' run order.
+var Structures = []Structure{
+	{"list", true},
+	{"map", true},
+	{"queue", false},
+	{"stack", false},
+	{"bst", true},
+	{"wfq", true},
+	{"skiplist", true},
+}
+
+// CanRun reports whether scheme s may run the named structure: every scheme
+// may, except a re-use-only one on a structure that needs reclamation. It
+// is the one rule behind every skip in hestress, hecheck and the schemes
+// experiment. It panics on a name the structure table does not list.
+func CanRun(s Scheme, structure string) bool {
+	for _, st := range Structures {
+		if st.Name == structure {
+			return !(s.ReuseOnly && st.NeedsReclaim)
+		}
+	}
+	panic("bench: structure " + structure + " is not in the structure table")
+}
+
+// SchemesFor returns the schemes of AllSchemes that may run the named
+// structure, in roster order.
+func SchemesFor(structure string) []Scheme {
+	var out []Scheme
+	for _, s := range AllSchemes() {
+		if CanRun(s, structure) {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 func itoa(n int) string {

@@ -10,12 +10,11 @@ import (
 
 // This file is the roster throughput comparison behind BENCH_schemes.json:
 // the micro-workloads of the api experiment plus a structure-level list
-// cell, run across every scheme in the extended roster (including the
-// PR-8 additions hyaline-1r, hyaline and WFE). It reuses the api
-// experiment's slice-interleave methodology, generalized from an A/B to a
-// round-robin: all fixtures are built once, then ~1ms timed slices rotate
-// through the schemes for the whole run, so every scheme samples every
-// clock regime and GC pause of the host in equal proportion and each
+// cell, run across every scheme in the extended roster (including
+// hyaline-1r, hyaline and WFE). It shares the api experiment's
+// slice-interleave primitive (rosterMedians), run as a round-robin: all
+// fixtures are built once, then ~1ms timed slices rotate through the
+// schemes for the whole run, so every scheme samples every clock regime and GC pause of the host in equal proportion and each
 // cell's median discards the slices a preemption landed in. Per-scheme
 // ratios (the rightmost column, normalized to HE) are what reproduces
 // across runs on the 1-core host; absolute ns/op carries the host's mood.
@@ -65,17 +64,26 @@ func listOpsFixture(s Scheme) (func(int), func()) {
 // cheaper than a scan?), not the 1% level of the zero-overhead bar.
 const schemesSlices = 400
 
-// rosterMedians builds one fixture per scheme, rotates timed slices
-// through all of them for `slices` rounds, and returns each scheme's
-// median slice cost in ns/op. One untimed warmup slice per scheme fills
-// magazines and branch history.
-func rosterMedians(slices, sliceIters int, schemes []Scheme,
-	fixture func(Scheme) (func(int), func())) []float64 {
-	runs := make([]func(int), len(schemes))
-	downs := make([]func(), len(schemes))
-	samples := make([][]float64, len(schemes))
-	for i, s := range schemes {
-		runs[i], downs[i] = fixture(s)
+// fixture builds one side of an interleaved comparison once and returns
+// its slice runner and teardown.
+type fixture func() (run func(iters int), teardown func())
+
+// on binds a per-scheme fixture builder to one scheme.
+func on(mk func(Scheme) (func(int), func()), s Scheme) fixture {
+	return func() (func(int), func()) { return mk(s) }
+}
+
+// rosterMedians is the one interleave primitive of the timed experiments:
+// it builds every fixture, rotates timed slices through all of them for
+// `slices` rounds, and returns each fixture's median slice cost in ns/op.
+// One untimed warmup slice per fixture fills magazines and branch history.
+// With one fixture it is a plain median of rounds.
+func rosterMedians(slices, sliceIters int, fixtures ...fixture) []float64 {
+	runs := make([]func(int), len(fixtures))
+	downs := make([]func(), len(fixtures))
+	samples := make([][]float64, len(fixtures))
+	for i, f := range fixtures {
+		runs[i], downs[i] = f()
 		runs[i](sliceIters)
 		samples[i] = make([]float64, 0, slices)
 	}
@@ -87,7 +95,7 @@ func rosterMedians(slices, sliceIters int, schemes []Scheme,
 			samples[i] = append(samples[i], perOp(time.Since(t0)))
 		}
 	}
-	meds := make([]float64, len(schemes))
+	meds := make([]float64, len(fixtures))
 	for i := range samples {
 		meds[i] = median(samples[i])
 		downs[i]()
@@ -95,15 +103,15 @@ func rosterMedians(slices, sliceIters int, schemes []Scheme,
 	return meds
 }
 
-// rosterWorkloads is the benchmark grid of SchemesCompare. RC is excluded
-// from ListOps (unguarded refcount traversal is unsafe on the Harris list,
-// the same exclusion cmd/hestress applies) and both baselines are excluded
-// from RetireScan (NONE never frees, so a long run grows without bound;
-// RC frees at release time, so its "retire" is not comparable work).
+// rosterWorkloads is the benchmark grid of SchemesCompare. ListOps runs
+// the schemes CanRun admits on the list (not RC, which only re-uses
+// objects). Both baselines are excluded from RetireScan: NONE never frees,
+// so a long run grows without bound, and RC frees at release time, so its
+// "retire" is not comparable work.
 var rosterWorkloads = []rosterWorkload{
 	{"HandleOps", 30_000, AllSchemes(), handleOpsInternalFixture},
 	{"RetireScan", 15_000, []Scheme{HP(), HE(), HEMinMax(), IBR(), EBR(), URCU(), Hyaline(), HyalineNonRobust(), WFE()}, retireScanInternalFixture},
-	{"ListOps", 3_000, []Scheme{HP(), HE(), HEMinMax(), IBR(), EBR(), URCU(), Hyaline(), HyalineNonRobust(), WFE(), Leak()}, listOpsFixture},
+	{"ListOps", 3_000, SchemesFor("list"), listOpsFixture},
 }
 
 // SchemesCompare runs the roster throughput comparison; BENCH_schemes.json
@@ -116,7 +124,11 @@ func SchemesCompare(w io.Writer, o Options) {
 	Section(w, "Scheme roster comparison (%d interleaved ~1ms slices per scheme per workload, 1 thread)", schemesSlices)
 	t := NewTable("workload", "scheme", "ns/op", "vs HE")
 	for _, rw := range rosterWorkloads {
-		meds := rosterMedians(schemesSlices, rw.sliceIters, rw.schemes, rw.fixture)
+		fixtures := make([]fixture, len(rw.schemes))
+		for i, s := range rw.schemes {
+			fixtures[i] = on(rw.fixture, s)
+		}
+		meds := rosterMedians(schemesSlices, rw.sliceIters, fixtures...)
 		heNs := 0.0
 		for i, s := range rw.schemes {
 			if s.Name == "HE" {
@@ -131,6 +143,6 @@ func SchemesCompare(w io.Writer, o Options) {
 	fmt.Fprintln(w, "Slices rotate round-robin through all schemes over one long run, so every")
 	fmt.Fprintln(w, "scheme samples the same clock regimes; each cell is that scheme's median")
 	fmt.Fprintln(w, "slice. Read the 'vs HE' column — absolute ns/op carries the host's mood.")
-	fmt.Fprintln(w, "RC is excluded from ListOps (unsafe on the Harris list) and RetireScan;")
+	fmt.Fprintln(w, "RC is excluded from ListOps (it only re-uses objects) and RetireScan;")
 	fmt.Fprintln(w, "NONE from RetireScan (never frees) and its ListOps row leaks by design.")
 }

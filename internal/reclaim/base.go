@@ -576,7 +576,7 @@ func (b *Base) pendingFold() int64 {
 // abandon moves s's remaining retired objects to the shared orphan pool.
 func (b *Base) abandon(s *Slot) {
 	leftovers := s.rl.refs
-	s.rl.refs = nil
+	s.rl.refs, s.rl.survivors = nil, 0
 	if len(leftovers) == 0 {
 		return
 	}
@@ -607,7 +607,7 @@ func (b *Base) DrainAll() {
 			for _, ref := range s.rl.refs {
 				b.freeAt(s.id, ref)
 			}
-			s.rl.refs = nil
+			s.rl.refs, s.rl.survivors = nil, 0
 		}
 	}
 	b.orphanMu.Lock()

@@ -250,6 +250,59 @@ func TestConformanceNoScanBelowThreshold(t *testing.T) {
 	}
 }
 
+// TestScanDueIgnoresPinnedSurvivors: a stalled reader that pins more than
+// a scan threshold's worth of retired objects must not make every later
+// retire scan. ScanDue counts only the retirements since the last scan
+// pass, so with threshold 2 the 1000 retires after the pin pay at most one
+// scan per two retires, and each pass still frees what is unpinned.
+func TestScanDueIgnoresPinnedSurvivors(t *testing.T) {
+	const pinned, retires = 100, 1000
+	arena := mem.NewArena[cnode](mem.Checked[cnode](true))
+	// Threshold = ScanR × MaxThreads × Slots = 2.
+	d := core.New(arena, reclaim.Config{MaxThreads: 2, Slots: 1, ScanR: 1})
+	const threshold = 2
+	reader, writer := d.Register(), d.Register()
+
+	refs := make([]mem.Ref, pinned)
+	for i := range refs {
+		refs[i], _ = arena.Alloc()
+		d.OnAlloc(refs[i])
+	}
+	var cell atomic.Uint64
+	cell.Store(uint64(refs[0]))
+	d.BeginOp(reader)
+	d.Protect(reader, 0, &cell) // publishes the era every refs[i] was born in
+	cell.Store(0)
+	for _, r := range refs {
+		d.Retire(writer, r)
+	}
+	if s := d.Stats(); s.Pending != pinned {
+		t.Fatalf("after retiring the pinned set: pending=%d, want %d", s.Pending, pinned)
+	}
+
+	before := d.Stats().Scans
+	for i := 0; i < retires; i++ {
+		r, _ := arena.Alloc()
+		d.OnAlloc(r)
+		d.Retire(writer, r)
+	}
+	s := d.Stats()
+	if scans := s.Scans - before; scans > retires/threshold {
+		t.Fatalf("%d scans in %d retires with %d pinned survivors; want at most %d (one per threshold of new retirements)",
+			scans, retires, pinned, retires/threshold)
+	}
+	if s.Pending > pinned+threshold {
+		t.Fatalf("pending=%d after the churn, want at most %d (the pinned set plus one threshold)", s.Pending, pinned+threshold)
+	}
+	d.EndOp(reader)
+	d.Unregister(reader)
+	d.Unregister(writer)
+	d.Drain()
+	if st := arena.Stats(); st.Live != 0 || st.Faults != 0 {
+		t.Fatalf("arena after drain: %+v", st)
+	}
+}
+
 // TestConformanceUnregisterDrainsRetiredList: a thread leaving below the
 // scan threshold must not strand its retired list — Unregister runs a final
 // scan, so with nothing protected everything is reclaimed immediately, no

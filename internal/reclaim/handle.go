@@ -44,10 +44,13 @@ import (
 // list itself plus the scratch snapshot buffers reused by every scan pass
 // (so a scan allocates nothing in steady state).
 type retiredListState struct {
-	refs  []mem.Ref
-	spare []mem.Ref // collects the to-free partition during a scan pass
-	eras  EraSnapshot
-	ivals IntervalSnapshot
+	refs []mem.Ref
+	// survivors is how many of refs the last scan pass kept (pinned by
+	// other sessions); ScanDue counts only the retirements since then.
+	survivors int
+	spare     []mem.Ref // collects the to-free partition during a scan pass
+	eras      EraSnapshot
+	ivals     IntervalSnapshot
 }
 
 // retiredList pads retiredListState out to a whole number of cache lines so
@@ -296,11 +299,15 @@ func (h *Handle) NoteRetired(ref mem.Ref) {
 	}
 }
 
-// ScanDue reports whether the session's retired list has reached the scan
-// threshold. Schemes call it after PushRetired; with the default threshold
-// of one this is true after every retire, reproducing Algorithm 3.
+// ScanDue reports whether the session has retired a scan threshold's worth
+// of objects since its last scan pass. Survivors of that pass (objects
+// other sessions still pin) do not count: otherwise a stalled reader that
+// pins a threshold's worth would make every later retire scan. Schemes
+// call it after PushRetired; with the default threshold of one this is
+// true after every retire, reproducing Algorithm 3.
 func (h *Handle) ScanDue() bool {
-	return len(h.slot.rl.refs) >= h.base.scanThreshold
+	rl := &h.slot.rl
+	return len(rl.refs) >= rl.survivors+h.base.scanThreshold
 }
 
 // Retired returns the session's retired list for in-place scanning. The
@@ -308,8 +315,12 @@ func (h *Handle) ScanDue() bool {
 // SetRetired.
 func (h *Handle) Retired() []mem.Ref { return h.slot.rl.refs }
 
-// SetRetired replaces the session's retired list after a scan pass.
-func (h *Handle) SetRetired(refs []mem.Ref) { h.slot.rl.refs = refs }
+// SetRetired replaces the session's retired list after a scan pass (or a
+// handoff); the refs written back are that pass's survivors.
+func (h *Handle) SetRetired(refs []mem.Ref) {
+	h.slot.rl.refs = refs
+	h.slot.rl.survivors = len(refs)
+}
 
 // EraScratch returns the session's reusable era-snapshot buffer.
 func (h *Handle) EraScratch() *EraSnapshot { return &h.slot.rl.eras }
@@ -371,6 +382,7 @@ func (h *Handle) ReclaimUnprotected(protected func(ref mem.Ref) bool) {
 		}
 	}
 	st.refs = keep
+	st.survivors = len(keep)
 	if len(toFree) == 0 {
 		return
 	}

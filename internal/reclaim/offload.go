@@ -54,8 +54,8 @@ import (
 // bytes never exceed the watermark plus what inline mode itself would hold,
 // so the paper's Equation 1 bound degrades to a configurable factor of
 // itself rather than growing without bound when the reclaimer lags. The
-// default watermark is WatermarkFactor × the Equation 1 scan threshold ×
-// MaxThreads × the arena slot size.
+// default watermark is offWatermarkFactor (8) × the Equation 1 scan
+// threshold × MaxThreads × the arena slot size.
 //
 // # Fixed configuration
 //
@@ -83,14 +83,15 @@ type OffloadConfig struct {
 	// WatermarkBytes is the backpressure threshold: when the bytes queued
 	// for background reclamation (summed per ref from the allocator's
 	// class-aware footprints) reach it, TryOffload fails and the retiring
-	// session scans inline. 0 derives the default from WatermarkFactor.
+	// session scans inline. 0 means 8 (offWatermarkFactor) × scan threshold
+	// × MaxThreads × slot bytes.
 	WatermarkBytes int64
-	// WatermarkFactor scales the default watermark: factor × scan threshold
-	// × MaxThreads × slot bytes, i.e. the offload pipeline may hold at most
-	// `factor` times the retired-list memory the inline Equation 1 bound
-	// already tolerates. 0 means 8. Ignored when WatermarkBytes is set.
-	WatermarkFactor int
 }
+
+// offWatermarkFactor scales the default watermark: the offload pipeline may
+// hold at most this many times the retired-list memory the inline
+// Equation 1 bound already tolerates.
+const offWatermarkFactor = 8
 
 // Scanner is the scheme-side entry point the background reclaimers dispatch
 // through: one reclamation pass over h's retired list, keeping survivors in
@@ -218,11 +219,7 @@ func newOffloader(cfg OffloadConfig, alloc Allocator, scanThreshold, maxThreads 
 	}
 	watermark := cfg.WatermarkBytes
 	if watermark <= 0 {
-		factor := cfg.WatermarkFactor
-		if factor <= 0 {
-			factor = 8
-		}
-		watermark = int64(factor) * int64(scanThreshold) * int64(maxThreads) * slotBytes
+		watermark = offWatermarkFactor * int64(scanThreshold) * int64(maxThreads) * slotBytes
 	}
 	o := &offloader{
 		workers:    cfg.Workers,

@@ -236,14 +236,15 @@ func TestOffloadCloseShutdown(t *testing.T) {
 			}
 
 			// The workers unregister and exit before Close returns (the
-			// shutdown waits on them); give the runtime a moment to retire
-			// the goroutines themselves.
+			// shutdown waits on them); an exiting goroutine still counts
+			// until the runtime retires it, so yield until it has.
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
+				runtime.Gosched()
 			}
 			if n := runtime.NumGoroutine(); n > baseline {
-				t.Fatalf("goroutine leak: %d > baseline %d", n, baseline)
+				buf := make([]byte, 1<<16)
+				t.Fatalf("goroutine leak: %d > baseline %d\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 			}
 		})
 	}

@@ -136,6 +136,11 @@ INLINE
 echo "== hygiene (no sampler artifacts committed under internal/) =="
 stray=$(find internal -name '*.jsonl' 2>/dev/null || true)
 [ -z "$stray" ] || { echo "stray .jsonl artifacts under internal/:"; echo "$stray"; exit 1; }
+echo "== determinism (no sleep-synchronized tests) =="
+# Tests synchronize by handshake or a bounded runtime.Gosched poll; a
+# sleep makes a test's outcome depend on the host's load.
+sleepers=$(grep -rln --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build 'time\.Sleep' . || true)
+[ -z "$sleepers" ] || { echo "time.Sleep in tests:"; echo "$sleepers"; exit 1; }
 echo "== tests =="
 go test ./...
 echo "== race (reclamation core) =="
