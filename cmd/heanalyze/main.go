@@ -1,8 +1,8 @@
 // Command heanalyze reconstructs reclamation behaviour offline from the
-// JSONL files the -sample flag of hebench/hestress writes. The file mixes
-// three line shapes (see internal/obs.Sampler): per-domain snapshots,
-// completed per-ref lifecycle spans (-trace) and health-alert transitions
-// (-monitor). heanalyze folds them into:
+// JSONL files the -sample flag of hebench/hestress writes. Every line is an
+// obs.Line whose "type" names it (see internal/obs.Sampler): a per-domain
+// snapshot, a completed per-ref lifecycle span (-trace) or a health-alert
+// transition (-monitor). heanalyze folds them into:
 //
 //   - a per-scheme summary: spans completed, reclamation-age (retire→free)
 //     quantiles and a log2 age histogram recomputed from the spans
@@ -36,15 +36,6 @@ import (
 	"repro/internal/obs"
 )
 
-// jsonlLine probes a line's shape: span and alert envelopes carry their
-// distinguishing key, snapshot lines carry neither and re-decode as a full
-// DomainSnapshot.
-type jsonlLine struct {
-	Scheme string          `json:"scheme"`
-	Span   json.RawMessage `json:"span"`
-	Alert  json.RawMessage `json:"alert"`
-}
-
 // schemeData accumulates everything the file recorded for one scheme.
 type schemeData struct {
 	name  string
@@ -68,7 +59,7 @@ func main() {
 
 	var wantRef uint64
 	if *refFilter != "" {
-		v, err := strconv.ParseUint(strings.TrimPrefix(*refFilter, "0x"), parseBase(*refFilter), 64)
+		v, err := strconv.ParseUint(*refFilter, 0, 64)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bad -ref %q: %v\n", *refFilter, err)
 			os.Exit(2)
@@ -95,45 +86,29 @@ func main() {
 		if len(raw) == 0 {
 			continue
 		}
-		var probe jsonlLine
-		if err := json.Unmarshal(raw, &probe); err != nil {
+		var l obs.Line
+		if err := json.Unmarshal(raw, &l); err != nil || l.V != obs.LineVersion {
 			bad++
 			continue
 		}
+		if l.Type != obs.LineAlert && *schemeFilter != "" && l.Scheme != *schemeFilter {
+			continue
+		}
 		switch {
-		case probe.Alert != nil:
-			var a obs.Alert
-			if json.Unmarshal(probe.Alert, &a) == nil {
-				alerts = append(alerts, a)
-			} else {
-				bad++
-			}
-		case probe.Span != nil:
-			if *schemeFilter != "" && probe.Scheme != *schemeFilter {
-				continue
-			}
-			var sp obs.RefSpan
-			if json.Unmarshal(probe.Span, &sp) != nil {
-				bad++
-				continue
-			}
-			sd := getScheme(schemes, &order, probe.Scheme)
-			sd.spans = append(sd.spans, &sp)
-		case probe.Scheme != "":
-			if *schemeFilter != "" && probe.Scheme != *schemeFilter {
-				continue
-			}
-			var snap obs.DomainSnapshot
-			if json.Unmarshal(raw, &snap) != nil {
-				bad++
-				continue
-			}
-			sd := getScheme(schemes, &order, probe.Scheme)
-			sd.last = &snap
+		case l.Type == obs.LineAlert && l.Alert != nil:
+			alerts = append(alerts, *l.Alert)
+		case l.Type == obs.LineSpan && l.Span != nil:
+			sd := getScheme(schemes, &order, l.Scheme)
+			sd.spans = append(sd.spans, l.Span)
+		case l.Type == obs.LineSnapshot && l.DomainSnapshot != nil:
+			snap := l.DomainSnapshot
+			snap.Scheme = l.Scheme
+			sd := getScheme(schemes, &order, l.Scheme)
+			sd.last = snap
 			if sd.peak == nil || len(snap.Pinned) > len(sd.peak.Pinned) ||
 				(len(snap.Pinned) > 0 && len(snap.Pinned) == len(sd.peak.Pinned) &&
 					snap.Pinned[0].AgeNs > sd.peak.Pinned[0].AgeNs) {
-				sd.peak = &snap
+				sd.peak = snap
 			}
 			sd.snaps++
 		default:
@@ -158,13 +133,6 @@ func main() {
 	if bad > 0 {
 		fmt.Printf("\n%d malformed line(s) skipped\n", bad)
 	}
-}
-
-func parseBase(s string) int {
-	if strings.HasPrefix(s, "0x") {
-		return 16
-	}
-	return 10
 }
 
 func getScheme(m map[string]*schemeData, order *[]string, name string) *schemeData {
@@ -238,9 +206,6 @@ func printScheme(sd *schemeData, spansN int) {
 // per-session holder attribution, then aggregates it into a per-session pin
 // report (how many pinned refs each session is responsible for).
 func printPinned(s *obs.DomainSnapshot, label string) {
-	if len(s.Pinned) == 0 {
-		return
-	}
 	fmt.Printf("pinned refs (%s, top %d by retire-age):\n", label, len(s.Pinned))
 	type pinAgg struct {
 		count  int
@@ -316,7 +281,7 @@ func printTimeline(sp *obs.RefSpan) {
 		if ev.Session >= 0 {
 			sess = strconv.Itoa(ev.Session)
 		}
-		fmt.Printf("    +%-10s %-8s session=%s%s\n", ns(ev.T-sp.AllocT), ev.KindStr, sess, val)
+		fmt.Printf("    +%-10s %-8s session=%s%s\n", ns(ev.T-sp.AllocT), ev.Kind, sess, val)
 	}
 	if sp.Truncated > 0 {
 		fmt.Printf("    (%d further events truncated)\n", sp.Truncated)
@@ -380,29 +345,14 @@ func printAgeHistogram(sorted []int64) {
 		if b > 0 {
 			lo = int64(1) << (b - 1)
 		}
-		bar := strings.Repeat("#", scaleBar(n, len(sorted)))
+		bar := strings.Repeat("#", max(n*40/len(sorted), 1))
 		fmt.Printf("  %10s  %7d  %s\n", "≥"+ns(lo), n, bar)
 	}
 }
 
-func scaleBar(n, total int) int {
-	if total == 0 {
-		return 0
-	}
-	w := n * 40 / total
-	if w == 0 {
-		w = 1
-	}
-	return w
-}
-
-// quantile reads the q-quantile from an ascending-sorted slice.
+// quantile reads the q-quantile from a non-empty ascending-sorted slice.
 func quantile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
+	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 // ns renders a nanosecond count with an adaptive unit.

@@ -265,7 +265,7 @@ func render(client *http.Client, addr string, events int) (string, error) {
 			fmt.Fprintf(&b, "\n%s flight recorder (last %d):\n", d.Scheme, len(d.Events))
 			for _, e := range d.Events {
 				fmt.Fprintf(&b, "  %12.3fms  s%-3d %-10s %d\n",
-					float64(e.T)/1e6, e.Session, e.KindStr, e.Value)
+					float64(e.T)/1e6, e.Session, e.Kind, e.Value)
 			}
 		}
 	}

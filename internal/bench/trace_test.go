@@ -10,40 +10,52 @@ import (
 	"repro/internal/schedtest"
 )
 
-// TestSpanConservation proves the lifecycle tracer loses nothing: under a
-// seeded, replayable schedtest schedule with exhaustive (SampleAll)
-// tracing, every allocation across every reclaiming scheme must end in
-// exactly one traced free by quiescent drain — no open spans left, no
-// duplicate lives, zero dropped events. A scheme whose free path bypassed
-// the traced substrate (Handle.FreeRetired / Base.freeAt) or whose retire
-// path double-freed would break the count.
+// TestSpanConservation proves the lifecycle tracer and the flight recorder
+// lose nothing: under a seeded, replayable schedtest schedule with
+// exhaustive (SampleAll) tracing, every allocation across every reclaiming
+// scheme must end in exactly one traced free by quiescent drain — no open
+// spans left, no duplicate lives, zero dropped events — and the recorder's
+// free events must add up to Stats.Freed. A scheme whose free path
+// bypassed the probe (Handle.FreeRetired / Base.FreeBatchAt) or whose
+// retire path double-freed would break the count.
 func TestSpanConservation(t *testing.T) {
 	defer func() {
 		SetObsHub(nil)
 		SetObsTrace(obs.TraceConfig{})
 	}()
+	traceAll := obs.TraceConfig{
+		Enabled: true, SampleAll: true,
+		MaxLive: 1 << 16, MaxEvents: 1 << 12, MaxDone: 1 << 16,
+	}
+	cfg := reclaim.Config{MaxThreads: 4, Slots: 2}
 	schemes := []Scheme{
 		HE(), HP(), EBR(), URCU(), IBR(), RC(),
 		Hyaline(), HyalineNonRobust(), WFE(),
 	}
 	for _, s := range schemes {
+		// The bench wiring attaches one traced obs domain per Make.
+		hub := obs.NewHub()
+		SetObsHub(hub)
+		SetObsTrace(traceAll)
+		s.Make(mem.NewArena[uint64](), cfg)
+		SetObsHub(nil)
+		doms := hub.Domains()
+		if len(doms) != 1 {
+			t.Fatalf("%s: %d obs domains attached, want 1", s.Name, len(doms))
+		}
+		if doms[0].Tracer() == nil {
+			t.Fatalf("%s: obs domain has no tracer", s.Name)
+		}
+
 		for _, seed := range []uint64{1, 2} {
-			hub := obs.NewHub()
-			SetObsHub(hub)
-			SetObsTrace(obs.TraceConfig{
-				Enabled: true, SampleAll: true,
-				MaxLive: 1 << 16, MaxEvents: 1 << 12, MaxDone: 1 << 16,
-			})
 			arena := mem.NewArena[uint64](mem.Checked[uint64](true))
-			dom := s.Make(arena, reclaim.Config{MaxThreads: 4, Slots: 2})
-			doms := hub.Domains()
-			if len(doms) != 1 {
-				t.Fatalf("%s: %d obs domains attached, want 1", s.Name, len(doms))
-			}
-			tr := doms[0].Tracer()
-			if tr == nil {
-				t.Fatalf("%s: obs domain has no tracer", s.Name)
-			}
+			dom := s.Make(arena, cfg)
+			// The run's own domain, with a ring per session large enough to
+			// hold the whole run (the hub wiring keeps the default ring), so
+			// every free event is still readable at the end.
+			od := obs.NewDomain(s.Name, obs.Config{Sessions: 4, RingEvents: 1 << 12, Trace: traceAll})
+			dom.(obsCapable).EnableObs(od)
+			tr := od.Tracer()
 
 			// Schedtest serializes the worker functions cooperatively, so the
 			// plain counter and cells are safe to share.
@@ -89,15 +101,21 @@ func TestSpanConservation(t *testing.T) {
 			}
 
 			// Retire the final cell occupants so the drain can free every
-			// allocation the run made.
+			// allocation the run made. The reader retires them while its
+			// operation still holds one, so in every scheme that defers
+			// reclamation the pinned one stays on a retired list (EndOp does
+			// not scan) and the quiescent drain, not a scan, frees it.
+			dom.BeginOp(reader)
+			reader.Protect(0, &cells[0])
 			for i := range cells {
-				w1.Retire(mem.Ref(cells[i].Load()))
+				reader.Retire(mem.Ref(cells[i].Load()))
 			}
-			dom.Unregister(reader)
+			dom.EndOp(reader)
 			dom.Unregister(w1)
 			dom.Unregister(w2)
 			dom.Unregister(setup)
 			dom.Drain()
+			dom.Unregister(reader)
 
 			if n := tr.LiveCount(); n != 0 {
 				for _, sp := range tr.LiveSpans() {
@@ -108,6 +126,18 @@ func TestSpanConservation(t *testing.T) {
 			}
 			if d := tr.Drops(); d != 0 {
 				t.Fatalf("%s seed=%d: tracer dropped %d events under exhaustive caps", s.Name, seed, d)
+			}
+			if d := od.Snapshot().Dropped; d != 0 {
+				t.Fatalf("%s seed=%d: flight recorder dropped %d events; size the ring to the run", s.Name, seed, d)
+			}
+			var ringFreed int64
+			for _, e := range od.Events(0) {
+				if e.Kind == obs.EvFree {
+					ringFreed += int64(e.Value)
+				}
+			}
+			if freed := dom.Stats().Freed; ringFreed != freed {
+				t.Fatalf("%s seed=%d: flight-recorder free events sum to %d, Stats.Freed = %d", s.Name, seed, ringFreed, freed)
 			}
 			done := tr.DrainDone()
 			if len(done) != allocs {
@@ -127,9 +157,9 @@ func TestSpanConservation(t *testing.T) {
 				}
 				for _, ev := range sp.Events {
 					switch ev.Kind {
-					case obs.SpanProtect:
+					case obs.EvProtect:
 						protects++
-					case obs.SpanRetire:
+					case obs.EvRetire:
 						retires++
 					}
 				}

@@ -440,11 +440,9 @@ func (d *Domain) scan(h *reclaim.Handle) {
 			b.minBirth = e
 		}
 	}
-	if d.Obs() != nil {
-		// Seal timestamp for the batch-age gauges; stamped only with obs
-		// attached so the production scan never reads the clock.
-		b.sealT = obs.Now()
-	}
+	// Seal timestamp for the batch-age gauges; 0 on an unobserved session,
+	// so the production scan never reads the clock.
+	b.sealT = h.ObsNow()
 
 	var inserted int64
 	for _, st := range *d.hand.Load() {
@@ -522,9 +520,7 @@ func (d *Domain) Drain() {
 		n := st.head.Swap(inactiveNode)
 		for ; n != nil && n != inactiveNode; n = n.next {
 			if n.b.rc.Add(-1) == 0 {
-				for _, ref := range n.b.refs {
-					d.FreeAt(0, ref)
-				}
+				d.FreeBatchAt(0, n.b.refs)
 			}
 		}
 	}

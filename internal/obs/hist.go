@@ -36,6 +36,9 @@ func (s *LatencyStripe) Record(ns int64) {
 	}
 }
 
+// since records the time elapsed from t0 (an obs.Now reading).
+func (s *LatencyStripe) since(t0 int64) { s.Record(Now() - t0) }
+
 // Histogram is a striped log-bucketed latency histogram: stripes are
 // selected by session id & mask (power-of-two striping, identical to
 // atomicx.StripedCounter) and folded only at snapshot time.

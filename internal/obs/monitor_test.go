@@ -217,7 +217,7 @@ func TestSamplerStopTakesFinalSample(t *testing.T) {
 func TestDroppedEventsSurface(t *testing.T) {
 	d := NewDomain("droppy", Config{Sessions: 1, RingEvents: 8})
 	for i := 0; i < 100; i++ {
-		d.Ring(0).Record(EvRetire, 0, uint64(i))
+		d.rings[0].record(EvRetire, 0, uint64(i))
 	}
 	s := d.Snapshot()
 	if s.Dropped != 92 {

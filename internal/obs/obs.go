@@ -6,16 +6,19 @@
 // latency tails of the protect, retire and scan paths.
 //
 // The enable/disable discipline mirrors internal/schedtest: production code
-// holds nil observability pointers and pays one untaken branch per hook;
-// a domain becomes observable only when reclaim.Base.EnableObs attaches a
-// *Domain built here, at construction time, before any session runs. Every
-// recording structure is striped or single-writer-biased so an enabled
+// holds a nil probe and pays one untaken branch per hook; a domain becomes
+// observable only when reclaim.Base.EnableObs attaches a *Domain built here,
+// at construction time, before any session runs. Each session then records
+// through its own Probe (probe.go), which owns the session's stripes, sample
+// ticks and scan bracket and writes every lifecycle fact to both recorders.
+// Every recording structure is striped or single-writer-biased so an enabled
 // domain adds no shared-cache-line traffic to the reclamation hot paths:
 //
 //   - Flight recorder (ring.go): per-session seqlock-entry rings of
-//     reclamation events (retire, scan start/end, free, era advance, session
+//     lifecycle events (retire, scan start/end, free, era advance, session
 //     acquire/release/register/unregister), merged and time-ordered only at
-//     snapshot time.
+//     snapshot time. One Kind enum and one Event type serve the ring and
+//     the per-ref spans of the lifecycle tracer (trace.go).
 //   - Latency histograms (hist.go): HDR-style power-of-two log buckets for
 //     the protect, retire and scan paths, striped by session id exactly like
 //     atomicx.StripedCounter and folded on demand.
@@ -176,14 +179,14 @@ type SchemeMetric struct {
 
 // Domain is one reclamation domain's observability state. It is built by
 // NewDomain, configured by the reclaim wiring (SetStatsSource, SetEraSource,
-// SetObjectBytes) and attached to a Hub for export. All recording entry
-// points (Ring, stripe Record) are safe for concurrent use; all snapshot
-// entry points may run concurrently with recording.
+// SetObjectBytes) and attached to a Hub for export. Sessions record through
+// the Probe each builds from it; all snapshot entry points may run
+// concurrently with recording.
 type Domain struct {
 	name string
 	cfg  Config
 
-	rings    []Ring
+	rings    []ring
 	ringMask int
 
 	protect *Histogram
@@ -222,7 +225,7 @@ func NewDomain(name string, cfg Config) *Domain {
 	d := &Domain{
 		name:     name,
 		cfg:      cfg,
-		rings:    make([]Ring, n),
+		rings:    make([]ring, n),
 		ringMask: n - 1,
 		protect:  NewHistogram(cfg.Sessions),
 		retire:   NewHistogram(cfg.Sessions),
@@ -240,29 +243,6 @@ func NewDomain(name string, cfg Config) *Domain {
 
 // Name returns the scheme label.
 func (d *Domain) Name() string { return d.name }
-
-// SampleMask returns the tick mask the hot-path sampling gate uses: a
-// bracket is recorded when tick&mask == 0.
-func (d *Domain) SampleMask() uint64 { return 1<<d.cfg.SampleShift - 1 }
-
-// Ring returns the flight-recorder ring session ids mapping to stripe i
-// write to. Sessions beyond the striping hint share rings; entries are
-// seqlock-protected, so sharing is safe.
-func (d *Domain) Ring(session int) *Ring { return &d.rings[session&d.ringMask] }
-
-// ProtectStripe returns the session's protect-latency histogram stripe for
-// hot-path caching (the reclaim.Handle holds the pointer).
-func (d *Domain) ProtectStripe(session int) *LatencyStripe { return d.protect.Stripe(session) }
-
-// RetireStripe returns the session's retire-latency histogram stripe.
-func (d *Domain) RetireStripe(session int) *LatencyStripe { return d.retire.Stripe(session) }
-
-// ScanStripe returns the session's scan-latency histogram stripe.
-func (d *Domain) ScanStripe(session int) *LatencyStripe { return d.scan.Stripe(session) }
-
-// OffloadStripe returns the offload-latency histogram stripe for a
-// background-reclaimer session: it records handoff-to-reclaimed time.
-func (d *Domain) OffloadStripe(session int) *LatencyStripe { return d.offload.Stripe(session) }
 
 // SetStatsSource installs the reclamation-statistics closure (wiring time
 // only; called by reclaim.Base.EnableObs).
@@ -292,7 +272,7 @@ func (d *Domain) SetOffloadSource(fn func() OffloadStats) { d.offStats = fn }
 func (d *Domain) SetClassSource(fn func() []ArenaClass) { d.classes = fn }
 
 // Tracer returns the per-ref lifecycle tracer, nil unless Config.Trace
-// enabled one. Hot paths cache the pointer and branch on nil.
+// enabled one. Session probes cache the pointer and branch on nil.
 func (d *Domain) Tracer() *Tracer { return d.tracer }
 
 // SetBudget records the domain's Equation-1 pending-bytes budget: the
@@ -441,7 +421,7 @@ func (d *Domain) Snapshot() DomainSnapshot {
 	}
 	var dropped int64
 	for i := range d.rings {
-		dropped += d.rings[i].Dropped()
+		dropped += d.rings[i].dropped()
 	}
 	dropped += d.extDrops.Load()
 	if tr := d.tracer; tr != nil {

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestBucketBoundaries pins the log2 bucket map at its edges: zero, one,
@@ -98,18 +99,18 @@ func TestHistogramSnapshot(t *testing.T) {
 // TestRingWraparound fills a ring past its capacity and checks that exactly
 // the newest capacity-many events survive, oldest first.
 func TestRingWraparound(t *testing.T) {
-	var r Ring
+	var r ring
 	r.init(8)
-	if r.Cap() != 8 {
-		t.Fatalf("cap = %d, want 8", r.Cap())
+	if len(r.entries) != 8 {
+		t.Fatalf("cap = %d, want 8", len(r.entries))
 	}
 	for i := 1; i <= 20; i++ {
-		r.Record(EvRetire, 3, uint64(i))
+		r.record(EvRetire, 3, uint64(i))
 	}
-	if r.Len() != 20 {
-		t.Fatalf("len = %d, want 20", r.Len())
+	if r.recorded() != 20 {
+		t.Fatalf("len = %d, want 20", r.recorded())
 	}
-	ev := r.Events()
+	ev := r.events()
 	if len(ev) != 8 {
 		t.Fatalf("readable events = %d, want 8 (capacity window)", len(ev))
 	}
@@ -118,7 +119,7 @@ func TestRingWraparound(t *testing.T) {
 		if e.Value != want || e.Seq != want {
 			t.Fatalf("event %d = value %d seq %d, want %d", i, e.Value, e.Seq, want)
 		}
-		if e.Session != 3 || e.Kind != EvRetire || e.KindStr != "retire" {
+		if e.Session != 3 || e.Kind != EvRetire || e.Kind.String() != "retire" {
 			t.Fatalf("event %d metadata = %+v", i, e)
 		}
 	}
@@ -129,12 +130,21 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// TestProbeFillsCacheLines pins the probe's pad: probes are allocated back
+// to back and written on every sampled call, so each must fill whole cache
+// lines.
+func TestProbeFillsCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(Probe{}); n%64 != 0 {
+		t.Fatalf("sizeof(Probe) = %d, want a multiple of 64; resize its pad", n)
+	}
+}
+
 // TestRingCapacityRounding checks init rounds up to a power of two.
 func TestRingCapacityRounding(t *testing.T) {
-	var r Ring
+	var r ring
 	r.init(100)
-	if r.Cap() != 128 {
-		t.Fatalf("cap = %d, want 128", r.Cap())
+	if len(r.entries) != 128 {
+		t.Fatalf("cap = %d, want 128", len(r.entries))
 	}
 }
 
@@ -144,7 +154,7 @@ func TestRingCapacityRounding(t *testing.T) {
 func TestDomainEventsMerge(t *testing.T) {
 	d := NewDomain("HE", Config{Sessions: 4, RingEvents: 16})
 	for i := 0; i < 40; i++ {
-		d.Ring(i%4).Record(EvRetire, i%4, uint64(i))
+		d.rings[i%4].record(EvRetire, i%4, uint64(i))
 	}
 	ev := d.Events(0)
 	if len(ev) != 40 {
@@ -226,8 +236,8 @@ func TestHubMetricsScrape(t *testing.T) {
 		t.Fatalf("attached domains = %d, want 2 (replace by name)", n)
 	}
 	d := hub.Domains()[0]
-	d.Ring(0).Record(EvScanStart, 0, 9)
-	d.ScanStripe(0).Record(1500)
+	d.rings[0].record(EvScanStart, 0, 9)
+	d.scan.Stripe(0).Record(1500)
 
 	addr, stop, err := hub.Serve("127.0.0.1:0")
 	if err != nil {
@@ -269,7 +279,7 @@ func TestHubMetricsScrape(t *testing.T) {
 	if err := json.Unmarshal([]byte(httpGet(t, "http://"+addr+"/events.json?max=4")), &events); err != nil {
 		t.Fatalf("/events.json: %v", err)
 	}
-	if len(events) != 2 || len(events[0].Events) != 1 || events[0].Events[0].KindStr != "scan_start" {
+	if len(events) != 2 || len(events[0].Events) != 1 || events[0].Events[0].Kind != EvScanStart {
 		t.Fatalf("/events.json = %+v", events)
 	}
 
@@ -321,24 +331,46 @@ func TestSamplerJSONL(t *testing.T) {
 	var buf syncBuffer
 	s := StartSampler(&buf, time.Hour, func() []*Domain { return []*Domain{d} })
 	s.Sample([]*Domain{d})
+	s.WriteAlert(Alert{Scheme: "HE", Invariant: "era-stall", State: "raise"})
 	s.Sample([]*Domain{d})
 	s.Stop()
 	s.Stop() // idempotent
 
 	// Two explicit samples plus the final one Stop takes (once, however
-	// often Stop is called).
+	// often Stop is called), and the alert between them.
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("sampler lines = %d, want 3", len(lines))
+	if len(lines) != 4 {
+		t.Fatalf("sampler lines = %d, want 4", len(lines))
 	}
+	types := map[string]int{}
 	for _, line := range lines {
-		var snap DomainSnapshot
-		if err := json.Unmarshal([]byte(line), &snap); err != nil {
+		var l Line
+		if err := json.Unmarshal([]byte(line), &l); err != nil {
 			t.Fatalf("bad JSONL line %q: %v", line, err)
 		}
-		if snap.Scheme != "HE" || snap.Pending != 3 {
-			t.Fatalf("snapshot line = %+v", snap)
+		if l.V != LineVersion {
+			t.Fatalf("line %q: v = %d, want %d", line, l.V, LineVersion)
 		}
+		types[l.Type]++
+		switch l.Type {
+		case LineSnapshot:
+			var snap DomainSnapshot
+			if err := json.Unmarshal([]byte(line), &snap); err != nil {
+				t.Fatalf("bad snapshot line %q: %v", line, err)
+			}
+			if snap.Scheme != "HE" || snap.Pending != 3 || l.Scheme != "HE" {
+				t.Fatalf("snapshot line = %+v", snap)
+			}
+		case LineAlert:
+			if l.Alert == nil || l.Alert.Invariant != "era-stall" || l.DomainSnapshot != nil {
+				t.Fatalf("alert line = %q", line)
+			}
+		default:
+			t.Fatalf("line %q: unexpected type %q", line, l.Type)
+		}
+	}
+	if types[LineSnapshot] != 3 || types[LineAlert] != 1 {
+		t.Fatalf("line types = %v, want 3 snapshots and 1 alert", types)
 	}
 }
 
@@ -364,8 +396,8 @@ func TestRecorderSamplerChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				d.Ring(w).Record(EvRetire, w, uint64(i))
-				d.ProtectStripe(w).Record(int64(i % 1000))
+				d.rings[w&d.ringMask].record(EvRetire, w, uint64(i))
+				d.protect.Stripe(w).Record(int64(i % 1000))
 			}
 		}(w)
 	}
@@ -396,7 +428,7 @@ func TestRecorderSamplerChurn(t *testing.T) {
 	if s.Protect.Count != writers*perWriter {
 		t.Fatalf("histogram count = %d, want %d", s.Protect.Count, writers*perWriter)
 	}
-	if got := d.Ring(0).Len() + d.Ring(1).Len(); got != writers*perWriter {
+	if got := d.rings[0].recorded() + d.rings[1].recorded(); got != writers*perWriter {
 		t.Fatalf("recorded events = %d, want %d", got, writers*perWriter)
 	}
 }

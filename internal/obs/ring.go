@@ -1,42 +1,53 @@
 package obs
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
-// Kind labels a flight-recorder event.
+// Kind labels one lifecycle fact. One enum serves both recorders: the
+// flight-recorder ring and the per-ref span. The ref kinds follow the
+// allocated → shared → protected → retired → freed life of a pointer
+// (Meyer & Wolff, arXiv:1910.11714); the rest are scan, clock and session
+// facts that only the ring records.
+//
+// Value carries the fact's number. Ring events: retire = the session's
+// retired-list depth after the push, free = nodes freed by the call,
+// scan_start = candidate count, scan_end = nodes this session freed during
+// the pass, era = the new clock reading, session kinds = the slot id.
+// Span events: publish = birth era, retire = retire era, handoff = the
+// destination (worker index or receiving-session count), others 0.
 type Kind uint32
 
 const (
 	EvNone Kind = iota
-	// EvRetire: a node entered the session's retired list. Value = pending
-	// length of that session's retired list after the push.
+	EvAlloc
+	EvPublish
+	EvProtect
 	EvRetire
-	// EvScanStart: a reclamation scan began. Value = candidate count.
-	EvScanStart
-	// EvScanEnd: the scan finished. Value = nodes freed by the scan.
-	EvScanEnd
-	// EvFree: nodes were returned to the allocator outside a scan (inline
-	// frees in URCU/RC, drain on unregister). Value = nodes freed.
+	EvHandoff
+	EvSkip
 	EvFree
-	// EvEra: the session advanced the global era/epoch clock. Value = the
-	// new clock reading.
+	EvScanStart
+	EvScanEnd
 	EvEra
-	// EvAcquire: a session handle was served from the pool. Value = slot id.
 	EvAcquire
-	// EvRelease: a session handle was returned to the pool. Value = slot id.
 	EvRelease
-	// EvRegister: a fresh slot was registered (pool miss or explicit
-	// Register). Value = slot id.
 	EvRegister
-	// EvUnregister: a slot was permanently unregistered. Value = slot id.
 	EvUnregister
 )
 
 var kindNames = [...]string{
 	EvNone:       "none",
+	EvAlloc:      "alloc",
+	EvPublish:    "publish",
+	EvProtect:    "protect",
 	EvRetire:     "retire",
+	EvHandoff:    "handoff",
+	EvSkip:       "skip",
+	EvFree:       "free",
 	EvScanStart:  "scan_start",
 	EvScanEnd:    "scan_end",
-	EvFree:       "free",
 	EvEra:        "era",
 	EvAcquire:    "acquire",
 	EvRelease:    "release",
@@ -51,13 +62,28 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Event is one decoded flight-recorder record.
+// MarshalText makes a Kind serialize as its name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses a kind name.
+func (k *Kind) UnmarshalText(b []byte) error {
+	for i, n := range kindNames {
+		if n == string(b) {
+			*k = Kind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("obs: unknown event kind %q", b)
+}
+
+// Event is one decoded lifecycle record, from a flight-recorder ring or a
+// span. Seq is the ring position (0 on span events); Session is -1 when the
+// recording site has no session identity (arena allocation, OnAlloc).
 type Event struct {
 	T       int64  `json:"t_ns"`
-	Seq     uint64 `json:"seq"`
+	Seq     uint64 `json:"seq,omitempty"`
 	Session int    `json:"session"`
-	Kind    Kind   `json:"-"`
-	KindStr string `json:"kind"`
+	Kind    Kind   `json:"kind"`
 	Value   uint64 `json:"value"`
 }
 
@@ -74,18 +100,18 @@ type entry struct {
 	val  atomic.Uint64
 }
 
-// Ring is one flight-recorder stripe: a fixed-capacity power-of-two ring
+// ring is one flight-recorder stripe: a fixed-capacity power-of-two ring
 // overwritten oldest-first. One session writes to it in the common case;
 // when session ids exceed the striping hint two sessions may share a ring,
 // which the claim-then-publish protocol tolerates (a torn overwrite is
 // discarded by the seq check, never misread).
-type Ring struct {
+type ring struct {
 	pos     atomic.Uint64
 	mask    uint64
 	entries []entry
 }
 
-func (r *Ring) init(capacity int) {
+func (r *ring) init(capacity int) {
 	n := 1
 	for n < capacity {
 		n <<= 1
@@ -94,8 +120,8 @@ func (r *Ring) init(capacity int) {
 	r.mask = uint64(n - 1)
 }
 
-// Record appends one event, overwriting the oldest. Allocation-free.
-func (r *Ring) Record(kind Kind, session int, value uint64) {
+// record appends one event, overwriting the oldest. Allocation-free.
+func (r *ring) record(kind Kind, session int, value uint64) {
 	p := r.pos.Add(1)
 	e := &r.entries[(p-1)&r.mask]
 	e.seq.Store(0) // invalidate before mutating the payload
@@ -105,19 +131,16 @@ func (r *Ring) Record(kind Kind, session int, value uint64) {
 	e.seq.Store(p) // publish
 }
 
-// Len reports how many events have ever been recorded (not the readable
-// window, which is capped at the ring capacity).
-func (r *Ring) Len() uint64 { return r.pos.Load() }
+// recorded reports how many events have ever been recorded (not the
+// readable window, which is capped at the ring capacity).
+func (r *ring) recorded() uint64 { return r.pos.Load() }
 
-// Cap returns the ring capacity in events.
-func (r *Ring) Cap() int { return len(r.entries) }
-
-// Dropped reports how many records have been overwritten before any
+// dropped reports how many records have been overwritten before any
 // snapshot could have read them from the full window: every record past
 // the ring capacity displaced an older one. The ring trades age for
 // boundedness by design; this makes the trade visible
 // (smr_obs_dropped_total) instead of silent.
-func (r *Ring) Dropped() int64 {
+func (r *ring) dropped() int64 {
 	p := r.pos.Load()
 	if c := uint64(len(r.entries)); p > c {
 		return int64(p - c)
@@ -128,7 +151,7 @@ func (r *Ring) Dropped() int64 {
 // appendEvents decodes every currently consistent entry into out. Entries
 // being overwritten while we read are skipped — the flight recorder trades
 // a lost record under contention for never inventing one.
-func (r *Ring) appendEvents(out []Event) []Event {
+func (r *ring) appendEvents(out []Event) []Event {
 	for i := range r.entries {
 		e := &r.entries[i]
 		s1 := e.seq.Load()
@@ -141,21 +164,19 @@ func (r *Ring) appendEvents(out []Event) []Event {
 		if e.seq.Load() != s1 {
 			continue
 		}
-		k := Kind(meta >> 32)
 		out = append(out, Event{
 			T:       t,
 			Seq:     s1,
 			Session: int(uint32(meta)),
-			Kind:    k,
-			KindStr: k.String(),
+			Kind:    Kind(meta >> 32),
 			Value:   val,
 		})
 	}
 	return out
 }
 
-// Events returns this ring's consistent records in timestamp order.
-func (r *Ring) Events() []Event {
+// events returns this ring's consistent records in timestamp order.
+func (r *ring) events() []Event {
 	ev := r.appendEvents(nil)
 	sortEvents(ev)
 	return ev

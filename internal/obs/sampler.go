@@ -11,16 +11,8 @@ import (
 
 // Sampler periodically folds a set of domains and appends JSON lines — the
 // machine-readable form of the Figure-4 pending-over-time curves, plus the
-// per-ref lifecycle spans and health alerts layered on top. Three line
-// shapes share the file, distinguished by their top-level keys:
-//
-//   - snapshot: a DomainSnapshot object (has "scheme" and the gauge
-//     fields) — one per domain per tick, unchanged since PR 4 so existing
-//     consumers keep parsing.
-//   - span:     {"scheme": S, "span": {...RefSpan...}} — one per completed
-//     lifecycle span, drained from the domain's tracer each tick.
-//   - alert:    {"alert": {...Alert...}} — one per health transition,
-//     written by the monitor through WriteAlert.
+// per-ref lifecycle spans and health alerts layered on top. Every line is a
+// Line: schema version V and a Type naming its shape.
 //
 // cmd/heanalyze reconstructs timelines, age histograms and pin reports
 // from the mix offline.
@@ -34,15 +26,27 @@ type Sampler struct {
 	stopped sync.Once
 }
 
-// spanLine is the JSONL envelope for one completed lifecycle span.
-type spanLine struct {
-	Scheme string   `json:"scheme"`
-	Span   *RefSpan `json:"span"`
-}
+// LineVersion is the sampler schema version every Line carries.
+const LineVersion = 1
 
-// alertLine is the JSONL envelope for one health alert transition.
-type alertLine struct {
-	Alert Alert `json:"alert"`
+// Sampler line types.
+const (
+	LineSnapshot = "snapshot" // one per domain per tick: a DomainSnapshot
+	LineSpan     = "span"     // one per completed lifecycle span
+	LineAlert    = "alert"    // one per health transition
+)
+
+// Line is one sampler JSONL record. Scheme names the domain on snapshot
+// and span lines; a snapshot line flattens its DomainSnapshot into the line
+// (whose own scheme field Scheme stands in for), a span line carries Span,
+// an alert line carries Alert.
+type Line struct {
+	V    int    `json:"v"`
+	Type string `json:"type"`
+	*DomainSnapshot
+	Scheme string   `json:"scheme,omitempty"`
+	Span   *RefSpan `json:"span,omitempty"`
+	Alert  *Alert   `json:"alert,omitempty"`
 }
 
 // StartSampler samples domains() every interval, writing JSON lines to w.
@@ -87,10 +91,11 @@ func (s *Sampler) sample(doms []*Domain) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, d := range doms {
-		s.writeLine(d, d.Snapshot())
+		snap := d.Snapshot()
+		s.writeLine(d, Line{V: LineVersion, Type: LineSnapshot, DomainSnapshot: &snap, Scheme: snap.Scheme})
 		if tr := d.Tracer(); tr != nil {
 			for _, sp := range tr.DrainDone() {
-				s.writeLine(d, spanLine{Scheme: d.Name(), Span: sp})
+				s.writeLine(d, Line{V: LineVersion, Type: LineSpan, Scheme: d.Name(), Span: sp})
 			}
 		}
 	}
@@ -100,7 +105,7 @@ func (s *Sampler) sample(doms []*Domain) {
 // writeLine marshals one record under the caller-held lock. A marshal
 // failure is counted against the domain (smr_obs_dropped_total) instead of
 // vanishing.
-func (s *Sampler) writeLine(d *Domain, v any) {
+func (s *Sampler) writeLine(d *Domain, v Line) {
 	line, err := json.Marshal(v)
 	if err != nil {
 		d.NoteDropped(1)
@@ -113,7 +118,7 @@ func (s *Sampler) writeLine(d *Domain, v any) {
 // WriteAlert appends one health-alert line. The monitor installs this as
 // its OnAlert sink; safe for concurrent use with sampling.
 func (s *Sampler) WriteAlert(a Alert) {
-	line, err := json.Marshal(alertLine{Alert: a})
+	line, err := json.Marshal(Line{V: LineVersion, Type: LineAlert, Alert: &a})
 	if err != nil {
 		return
 	}

@@ -71,59 +71,19 @@ func (c TraceConfig) defaulted() TraceConfig {
 	return c
 }
 
-// SpanKind labels one lifecycle event inside a RefSpan.
-type SpanKind uint8
-
-const (
-	SpanAlloc SpanKind = iota
-	SpanPublish
-	SpanProtect
-	SpanRetire
-	SpanHandoff
-	SpanSkip
-	SpanFree
-)
-
-var spanKindNames = [...]string{
-	SpanAlloc:   "alloc",
-	SpanPublish: "publish",
-	SpanProtect: "protect",
-	SpanRetire:  "retire",
-	SpanHandoff: "handoff",
-	SpanSkip:    "skip",
-	SpanFree:    "free",
-}
-
-func (k SpanKind) String() string {
-	if int(k) < len(spanKindNames) {
-		return spanKindNames[k]
-	}
-	return "unknown"
-}
-
-// SpanEvent is one timestamped lifecycle event. Session is -1 when the
-// recording site has no session identity (arena allocation, OnAlloc).
-type SpanEvent struct {
-	T       int64    `json:"t_ns"`
-	Kind    SpanKind `json:"-"`
-	KindStr string   `json:"kind"`
-	Session int      `json:"session"`
-	Value   uint64   `json:"value,omitempty"`
-}
-
 // RefSpan is the recorded lifecycle of one traced ref. Ref is the packed
 // arena reference (mark stripped); eras are zero for schemes without a
 // clock. A span is complete once FreeT is set; incomplete spans belong to
 // refs still live (or still pending) in the domain.
 type RefSpan struct {
-	Ref       uint64      `json:"ref"`
-	BirthEra  uint64      `json:"birth_era,omitempty"`
-	RetireEra uint64      `json:"retire_era,omitempty"`
-	AllocT    int64       `json:"alloc_t_ns"`
-	RetireT   int64       `json:"retire_t_ns,omitempty"`
-	FreeT     int64       `json:"free_t_ns,omitempty"`
-	Truncated int64       `json:"truncated_events,omitempty"`
-	Events    []SpanEvent `json:"events"`
+	Ref       uint64  `json:"ref"`
+	BirthEra  uint64  `json:"birth_era,omitempty"`
+	RetireEra uint64  `json:"retire_era,omitempty"`
+	AllocT    int64   `json:"alloc_t_ns"`
+	RetireT   int64   `json:"retire_t_ns,omitempty"`
+	FreeT     int64   `json:"free_t_ns,omitempty"`
+	Truncated int64   `json:"truncated_events,omitempty"`
+	Events    []Event `json:"events"`
 }
 
 // PinHolder attributes a pinned ref to one session: the session's
@@ -153,8 +113,8 @@ type traceShard struct {
 }
 
 // Tracer records sampled per-ref lifecycle spans for one domain. All
-// methods are safe for concurrent use. Callers pre-filter with Sampled so
-// untraced refs never reach the sharded maps.
+// methods are safe for concurrent use. The sampling decision is the
+// tracer's own: untraced refs never reach the sharded maps.
 type Tracer struct {
 	cfg     TraceConfig
 	mask    uint64 // mix(ref)&mask == 0 → traced
@@ -164,6 +124,9 @@ type Tracer struct {
 	drops   atomic.Int64
 	doneMu  sync.Mutex
 	done    []*RefSpan
+	// retireEra reads a retired ref's retire era; installed by the reclaim
+	// wiring (SetRetireEra), nil records zero eras.
+	retireEra func(ref uint64) uint64
 }
 
 func newTracer(cfg TraceConfig, sessions int) *Tracer {
@@ -192,17 +155,33 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Sampled reports whether ref is in the traced fraction. Pure function of
-// the ref bits — every hook site recomputes it instead of sharing state.
-func (t *Tracer) Sampled(ref uint64) bool { return mix64(ref)&t.mask == 0 }
+// sampled reports whether ref is in the traced fraction. Pure function of
+// the ref bits, so every hook recomputes it instead of sharing state; 0 is
+// the nil ref and is never traced.
+func (t *Tracer) sampled(ref uint64) bool { return ref != 0 && mix64(ref)&t.mask == 0 }
 
 func (t *Tracer) shard(ref uint64) *traceShard {
 	return &t.shards[(mix64(ref)>>32)&(traceShards-1)]
 }
 
-// Alloc opens a span for a sampled ref. session is -1 when the allocation
-// site has no session identity.
+// SetRetireEra installs the lookup that reads a retired ref's retire era
+// (the arena header stamp). Wiring time only, like the Domain sources.
+func (t *Tracer) SetRetireEra(fn func(ref uint64) uint64) { t.retireEra = fn }
+
+// Alloc opens a span when ref is in the traced fraction. session is -1
+// when the allocation site has no session identity.
+//
+// Gate and open are split for code layout alone: the one-function form
+// moves core.(*Eras).Protect from 32 to 0 mod 64 in the reclaim test
+// binary, and BenchmarkHandleOpsObs then reads over 10% slower in every
+// mode, obs off included (go tool nm -n shows the shift).
 func (t *Tracer) Alloc(ref uint64, session int) {
+	if t.sampled(ref) {
+		t.open(ref, session)
+	}
+}
+
+func (t *Tracer) open(ref uint64, session int) {
 	now := Now()
 	sh := t.shard(ref)
 	sh.mu.Lock()
@@ -217,54 +196,21 @@ func (t *Tracer) Alloc(ref uint64, session int) {
 		return
 	}
 	sp := &RefSpan{Ref: ref, AllocT: now}
-	sp.Events = append(sp.Events, SpanEvent{T: now, Kind: SpanAlloc, KindStr: SpanAlloc.String(), Session: session})
+	sp.Events = append(sp.Events, Event{T: now, Session: session, Kind: EvAlloc})
 	sh.spans[ref] = sp
 	sh.mu.Unlock()
 }
 
-// Publish records the publish event (the scheme's OnAlloc) and stamps the
-// birth era for era-based schemes. A publish with no open span (alloc-time
-// drop, or the cap was hit) is ignored.
-func (t *Tracer) Publish(ref uint64, birthEra uint64, session int) {
-	now := Now()
-	sh := t.shard(ref)
-	sh.mu.Lock()
-	if sp, ok := sh.spans[ref]; ok {
-		sp.BirthEra = birthEra
-		t.appendEvent(sp, SpanEvent{T: now, Kind: SpanPublish, KindStr: SpanPublish.String(), Session: session, Value: birthEra})
+// record lands one event on a traced ref's open span; callers test sampled
+// first. Publish stamps the birth era (value); retire stamps the retire era
+// and starts the retire→free age clock; free closes the span, feeds the
+// reclamation-age histogram and moves the span to the completed backlog
+// for the sampler to drain. An event with no open span (alloc-time drop,
+// or the cap was hit) is ignored.
+func (t *Tracer) record(ref uint64, kind Kind, session int, value uint64) {
+	if kind == EvRetire && t.retireEra != nil {
+		value = t.retireEra(ref)
 	}
-	sh.mu.Unlock()
-}
-
-// Event records a generic lifecycle event (protect, handoff, skip).
-func (t *Tracer) Event(ref uint64, kind SpanKind, session int, value uint64) {
-	now := Now()
-	sh := t.shard(ref)
-	sh.mu.Lock()
-	if sp, ok := sh.spans[ref]; ok {
-		t.appendEvent(sp, SpanEvent{T: now, Kind: kind, KindStr: kind.String(), Session: session, Value: value})
-	}
-	sh.mu.Unlock()
-}
-
-// Retire marks the span retired and stamps the retire era (zero for
-// schemes without a clock). Retire-age measurement starts here.
-func (t *Tracer) Retire(ref uint64, retireEra uint64, session int) {
-	now := Now()
-	sh := t.shard(ref)
-	sh.mu.Lock()
-	if sp, ok := sh.spans[ref]; ok {
-		sp.RetireT = now
-		sp.RetireEra = retireEra
-		t.appendEvent(sp, SpanEvent{T: now, Kind: SpanRetire, KindStr: SpanRetire.String(), Session: session, Value: retireEra})
-	}
-	sh.mu.Unlock()
-}
-
-// Free closes the span: records the free event, feeds the retire→free
-// latency into the reclamation-age histogram, and moves the span to the
-// completed backlog for the sampler to drain.
-func (t *Tracer) Free(ref uint64, session int) {
 	now := Now()
 	sh := t.shard(ref)
 	sh.mu.Lock()
@@ -273,17 +219,27 @@ func (t *Tracer) Free(ref uint64, session int) {
 		sh.mu.Unlock()
 		return
 	}
-	delete(sh.spans, ref)
-	sp.FreeT = now
-	t.appendEvent(sp, SpanEvent{T: now, Kind: SpanFree, KindStr: SpanFree.String(), Session: session})
+	switch kind {
+	case EvPublish:
+		sp.BirthEra = value
+	case EvRetire:
+		sp.RetireT, sp.RetireEra = now, value
+	case EvFree:
+		delete(sh.spans, ref)
+		sp.FreeT = now
+	}
+	if len(sp.Events) < t.cfg.MaxEvents {
+		sp.Events = append(sp.Events, Event{T: now, Session: session, Kind: kind, Value: value})
+	} else {
+		sp.Truncated++
+		t.drops.Add(1)
+	}
 	sh.mu.Unlock()
-
+	if kind != EvFree {
+		return
+	}
 	if sp.RetireT > 0 {
-		s := session
-		if s < 0 {
-			s = 0
-		}
-		t.age.Record(s, now-sp.RetireT)
+		t.age.Record(max(session, 0), now-sp.RetireT)
 	}
 	t.doneMu.Lock()
 	if len(t.done) < t.cfg.MaxDone {
@@ -292,17 +248,6 @@ func (t *Tracer) Free(ref uint64, session int) {
 		t.drops.Add(1)
 	}
 	t.doneMu.Unlock()
-}
-
-// appendEvent appends under the caller-held shard lock, honouring the
-// per-span cap.
-func (t *Tracer) appendEvent(sp *RefSpan, ev SpanEvent) {
-	if len(sp.Events) >= t.cfg.MaxEvents {
-		sp.Truncated++
-		t.drops.Add(1)
-		return
-	}
-	sp.Events = append(sp.Events, ev)
 }
 
 // DrainDone removes and returns the completed spans accumulated since the
@@ -336,7 +281,7 @@ func (t *Tracer) LiveSpans() []RefSpan {
 		sh.mu.Lock()
 		for _, sp := range sh.spans {
 			c := *sp
-			c.Events = append([]SpanEvent(nil), sp.Events...)
+			c.Events = append([]Event(nil), sp.Events...)
 			out = append(out, c)
 		}
 		sh.mu.Unlock()

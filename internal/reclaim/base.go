@@ -158,11 +158,10 @@ type Base struct {
 	obsEraClock  func() uint64
 	obsEraDecode func(words []atomicx.PaddedUint64) (era uint64, ok bool)
 
-	// tracer is the per-ref lifecycle tracer cached off obsDom (nil unless
-	// the obs domain was built with Trace.Enabled). Every lifecycle hook —
-	// publish, retire, handoff, skip, free — is one untaken branch when nil,
-	// and a hash-of-ref sampling check when attached.
-	tracer *obs.Tracer
+	// probe records the lifecycle facts that have no session: publishes
+	// from OnAlloc. Nil unless the obs domain traces refs, so TraceAlloc is
+	// one untaken branch otherwise.
+	probe *obs.Probe
 
 	// off, when non-nil, is the background reclamation pipeline
 	// (Config.Offload; see offload.go). Hot paths pay one nil check.
@@ -187,8 +186,8 @@ func (b *Base) SetObsEraView(clock func() uint64, decode func(words []atomicx.Pa
 
 // EnableObs attaches an observability domain: statistics, era-lag gauges
 // and per-object byte accounting flow out through d, and every session
-// registered from now on caches d's flight-recorder ring and latency
-// stripes (nil-gated on the hot paths). Call at construction time, before
+// registered from now on records through its own probe built from d
+// (nil-gated on the hot paths). Call at construction time, before
 // the first Register/Acquire — handles made earlier stay uninstrumented.
 // The method is promoted through embedding, so any scheme satisfies
 // interface{ EnableObs(*obs.Domain) }.
@@ -253,16 +252,12 @@ func (b *Base) EnableObs(d *obs.Domain) {
 	}
 	d.SetBudget(budget)
 	if tr := d.Tracer(); tr != nil {
-		b.tracer = tr
+		b.probe = d.Probe(-1)
+		tr.SetRetireEra(func(ref uint64) uint64 { return b.Alloc.Header(mem.Ref(ref)).RetireEra })
 		// The arena is the true allocation point (OnAlloc is publish, not
-		// alloc), so the sampling decision hooks in there: nil-gated, and
-		// only hash-sampled refs reach the tracer.
+		// alloc), so spans open there.
 		if ah, ok := b.Alloc.(interface{ SetAllocHook(func(int, mem.Ref)) }); ok {
-			ah.SetAllocHook(func(shard int, ref mem.Ref) {
-				if r := uint64(ref.Unmarked()); tr.Sampled(r) {
-					tr.Alloc(r, shard)
-				}
-			})
+			ah.SetAllocHook(func(shard int, ref mem.Ref) { tr.Alloc(uint64(ref.Unmarked()), shard) })
 		}
 	}
 	if b.obsEraClock != nil && b.obsEraDecode != nil {
@@ -280,20 +275,11 @@ func (b *Base) EnableObs(d *obs.Domain) {
 	}
 }
 
-// Obs returns the attached observability domain, or nil.
-func (b *Base) Obs() *obs.Domain { return b.obsDom }
-
-// TraceAlloc records the publish event of a sampled ref's lifecycle span:
-// schemes call it from OnAlloc (the moment the object becomes shared),
+// TraceAlloc records that ref became shared: schemes call it from OnAlloc,
 // passing the birth era they stamped — zero for schemes without a clock.
-// One untaken branch when tracing is off.
 func (b *Base) TraceAlloc(ref mem.Ref, birthEra uint64) {
-	tr := b.tracer
-	if tr == nil {
-		return
-	}
-	if r := uint64(ref.Unmarked()); tr.Sampled(r) {
-		tr.Publish(r, birthEra, -1)
+	if p := b.probe; p != nil {
+		p.Publish(uint64(ref.Unmarked()), birthEra)
 	}
 }
 
@@ -415,8 +401,8 @@ func (b *Base) Register() *Handle {
 	b.active.Add(1)
 	b.mu.Unlock()
 	h := b.makeHandle(s)
-	if h.obsRing != nil {
-		h.obsRing.Record(obs.EvRegister, s.id, uint64(s.id))
+	if p := h.probe; p != nil {
+		p.Register()
 	}
 	return h
 }
@@ -436,7 +422,7 @@ func (b *Base) makeHandle(s *Slot) *Handle {
 		scanStripe: b.scans.Stripe(s.id),
 	}
 	// Byte stripes stay nil for uniform-footprint allocators — the hot paths
-	// nil-check and skip (same gating pattern as obsRing).
+	// nil-check and skip (same gating pattern as the probe).
 	if b.retiredBytes != nil {
 		h.retBytesStripe = b.retiredBytes.Stripe(s.id)
 		h.freeBytesStripe = b.freedBytes.Stripe(s.id)
@@ -454,12 +440,7 @@ func (b *Base) makeHandle(s *Slot) *Handle {
 	}
 	if d := b.obsDom; d != nil {
 		h.hot = &observedDomain{b.Dom}
-		h.obsRing = d.Ring(s.id)
-		h.obsProt = d.ProtectStripe(s.id)
-		h.obsRet = d.RetireStripe(s.id)
-		h.obsScan = d.ScanStripe(s.id)
-		h.obsMask = d.SampleMask()
-		h.obsTrace = b.tracer
+		h.probe = d.Probe(s.id)
 	}
 	return h
 }
@@ -474,8 +455,8 @@ func (b *Base) Acquire() *Handle {
 		b.active.Add(1)
 		b.mu.Unlock()
 		b.poolHits.Add(1)
-		if h.obsRing != nil {
-			h.obsRing.Record(obs.EvAcquire, h.slot.id, uint64(h.slot.id))
+		if p := h.probe; p != nil {
+			p.Acquire()
 		}
 		return h
 	}
@@ -501,8 +482,8 @@ func (b *Base) Release(h *Handle) {
 	}
 	h.Lo, h.Hi = 0, 0
 	h.RetireCount = 0
-	if h.obsRing != nil {
-		h.obsRing.Record(obs.EvRelease, h.slot.id, uint64(h.slot.id))
+	if p := h.probe; p != nil {
+		p.Release()
 	}
 	b.mu.Lock()
 	b.pool = append(b.pool, h)
@@ -519,8 +500,8 @@ func (b *Base) Unregister(h *Handle) {
 	for w := range s.words {
 		s.words[w].Store(b.initWord)
 	}
-	if h.obsRing != nil {
-		h.obsRing.Record(obs.EvUnregister, s.id, uint64(s.id))
+	if p := h.probe; p != nil {
+		p.Unregister()
 	}
 	b.mu.Lock()
 	b.freeSlots = append(b.freeSlots, s)
@@ -604,9 +585,7 @@ func (b *Base) DrainAll() {
 	for blk := b.head; blk != nil; blk = blk.Next() {
 		for i := range blk.slots {
 			s := &blk.slots[i]
-			for _, ref := range s.rl.refs {
-				b.freeAt(s.id, ref)
-			}
+			b.FreeBatchAt(s.id, s.rl.refs)
 			s.rl.refs, s.rl.survivors = nil, 0
 		}
 	}
@@ -615,9 +594,7 @@ func (b *Base) DrainAll() {
 	b.orphans = nil
 	b.orphanLoad.Store(0)
 	b.orphanMu.Unlock()
-	for _, ref := range orphans {
-		b.freeAt(0, ref)
-	}
+	b.FreeBatchAt(0, orphans)
 }
 
 // refBytes returns the class-aware footprint of the block ref names.
@@ -625,30 +602,34 @@ func (b *Base) refBytes(ref mem.Ref) int64 {
 	return b.classBytes[ref.Class()&(mem.NumClasses-1)]
 }
 
-// FreeAt frees ref through the allocator on behalf of slot id, bumping the
-// freed stripes, without requiring a live Handle. Schemes whose pending
-// objects live outside slot retired lists (Hyaline's distributed batches)
-// use it from their Drain override, where DrainAll's registry walk cannot
-// see the objects. Quiescence-only, like DrainAll: it skips the free-guard
-// oracle exactly as the drain path does.
-func (b *Base) FreeAt(id int, ref mem.Ref) { b.freeAt(id, ref) }
-
-// freeAt frees ref through the allocator (into shard's magazine when
-// sharded) and bumps the freed stripes for that id.
-func (b *Base) freeAt(id int, ref mem.Ref) {
+// FreeBatchAt frees refs through the allocator on behalf of slot id,
+// bumping the freed stripes and recording the frees, without requiring a
+// live Handle. DrainAll and the offload shutdown use it, and so do schemes
+// whose pending objects live outside slot retired lists (Hyaline's
+// distributed batches) from their Drain override, where DrainAll's
+// registry walk cannot see the objects. Quiescence-only: it skips the
+// free-guard oracle.
+func (b *Base) FreeBatchAt(id int, refs []mem.Ref) {
+	if len(refs) == 0 {
+		return
+	}
 	if b.sharded != nil {
-		b.sharded.FreeAt(id, ref)
+		b.sharded.FreeBatchAt(id, refs)
 	} else {
-		b.Alloc.Free(ref)
-	}
-	b.freed.Inc(id)
-	if b.freedBytes != nil {
-		b.freedBytes.Add(id, b.refBytes(ref))
-	}
-	if tr := b.tracer; tr != nil {
-		if r := uint64(ref.Unmarked()); tr.Sampled(r) {
-			tr.Free(r, id)
+		for _, ref := range refs {
+			b.Alloc.Free(ref)
 		}
+	}
+	b.freed.Add(id, int64(len(refs)))
+	if b.freedBytes != nil {
+		n := int64(0)
+		for _, ref := range refs {
+			n += b.refBytes(ref)
+		}
+		b.freedBytes.Add(id, n)
+	}
+	if d := b.obsDom; d != nil {
+		obs.FreeBatchAt(d, id, refs)
 	}
 }
 

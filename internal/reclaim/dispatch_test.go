@@ -59,7 +59,7 @@ func TestObservedHandleRecordsProtectAndRetire(t *testing.T) {
 			continue
 		}
 		for _, ev := range sp.Events {
-			if ev.Kind == obs.SpanProtect && ev.Session == h.ID() {
+			if ev.Kind == obs.EvProtect && ev.Session == h.ID() {
 				protects++
 			}
 		}
@@ -103,7 +103,7 @@ func TestUnobservedHandleSkipsObs(t *testing.T) {
 	for _, sp := range od.Tracer().LiveSpans() {
 		for _, ev := range sp.Events {
 			if ev.Session == h.ID() {
-				t.Errorf("unobserved session landed a %s event on span %#x", ev.KindStr, sp.Ref)
+				t.Errorf("unobserved session landed a %s event on span %#x", ev.Kind, sp.Ref)
 			}
 		}
 	}

@@ -141,23 +141,10 @@ type Handle struct {
 
 	ins *insStripes // nil when instrumentation is off
 
-	// Observability caches; all nil when the domain has no obs attached.
-	// Protect and Retire read them only inside observedDomain; the other
-	// hot paths pay one untaken branch. The tick counters and scan
-	// scratch are owner-only plain fields (a Handle has one owner session).
-	obsRing  *obs.Ring          // flight-recorder stripe
-	obsProt  *obs.LatencyStripe // protect-latency histogram stripe
-	obsRet   *obs.LatencyStripe // retire-latency histogram stripe
-	obsScan  *obs.LatencyStripe // scan-latency histogram stripe
-	obsMask  uint64             // sample when tick&mask == 0
-	obsTrace *obs.Tracer        // per-ref lifecycle tracer (nil unless enabled)
-
-	obsTickProt  uint64 // Protect-bracket sampling tick
-	obsTickRet   uint64 // Retire-bracket sampling tick
-	obsTickPush  uint64 // PushRetired EvRetire sampling tick
-	obsTickEra   uint64 // ObsEra EvEra sampling tick
-	obsScanT0    int64  // scan start timestamp (NoteScan..NoteScanEnd)
-	obsScanFreed int64  // freeStripe reading at scan start
+	// probe records this session's lifecycle facts; nil when the domain
+	// has no obs attached. Protect and Retire reach it only inside
+	// observedDomain; every other hook is one untaken branch.
+	probe *obs.Probe
 
 	// Wrapper is owner-only storage for a layer wrapping this handle (the
 	// public smr package parks its Guard here). Because Release keeps the
@@ -195,48 +182,21 @@ func (h *Handle) Protect(index int, src *atomic.Uint64) mem.Ref {
 func (h *Handle) Retire(ref mem.Ref) { h.hot.Retire(h, ref) }
 
 // observedDomain is the Handle dispatch target of a domain with obs
-// attached. One Protect bracket in every 2^SampleShift is timed into the
-// protect-latency histogram, and one Retire bracket — the whole scheme
-// Retire, including any scan it triggers — into the retire-latency
-// histogram, which is what makes the amortization tail (one in threshold
-// retires pays the scan) visible. With lifecycle tracing on, every protect
-// of a sampled ref also lands on its span.
+// attached: it brackets the scheme's Protect and Retire with the session
+// probe, which times a sample of them and traces the protected ref.
 type observedDomain struct{ Domain }
 
 func (o *observedDomain) Protect(h *Handle, index int, src *atomic.Uint64) mem.Ref {
-	h.obsTickProt++
-	if h.obsTickProt&h.obsMask == 0 {
-		t0 := obs.Now()
-		ref := o.Domain.Protect(h, index, src)
-		h.obsProt.Record(obs.Now() - t0)
-		h.traceProtect(ref)
-		return ref
-	}
+	t0 := h.probe.StartProtect()
 	ref := o.Domain.Protect(h, index, src)
-	h.traceProtect(ref)
+	h.probe.Protect(t0, uint64(ref.Unmarked()))
 	return ref
 }
 
 func (o *observedDomain) Retire(h *Handle, ref mem.Ref) {
-	h.obsTickRet++
-	if h.obsTickRet&h.obsMask == 0 {
-		t0 := obs.Now()
-		o.Domain.Retire(h, ref)
-		h.obsRet.Record(obs.Now() - t0)
-		return
-	}
+	t0 := h.probe.StartRetire()
 	o.Domain.Retire(h, ref)
-}
-
-// traceProtect lands a protect event on a sampled ref's lifecycle span.
-func (h *Handle) traceProtect(ref mem.Ref) {
-	tr := h.obsTrace
-	if tr == nil || ref.IsNil() {
-		return
-	}
-	if r := uint64(ref.Unmarked()); tr.Sampled(r) {
-		tr.Event(r, obs.SpanProtect, h.slot.id, 0)
-	}
+	h.probe.EndRetire(t0)
 }
 
 // Release parks the live session in the domain pool for Acquire to reuse.
@@ -249,11 +209,7 @@ func (h *Handle) Unregister() { h.dom.Unregister(h) }
 
 // PushRetired appends ref to the session's retired list and bumps its
 // retire stripe. The high-water fold happens at scan/stats time, keeping
-// this hot path free of shared cache lines. With observability attached,
-// one push in every 2^SampleShift lands an EvRetire flight-recorder event
-// carrying the retired-list depth — sampled here (on its own tick, since
-// schemes reach this through d.Retire as well as h.Retire) so the recorder
-// rides every retire path without unsampled ring traffic on it.
+// this hot path free of shared cache lines.
 func (h *Handle) PushRetired(ref mem.Ref) {
 	schedtest.Point(schedtest.PointRetire)
 	rl := &h.slot.rl.retiredListState
@@ -262,40 +218,23 @@ func (h *Handle) PushRetired(ref mem.Ref) {
 	if h.retBytesStripe != nil {
 		h.retBytesStripe.Add(h.base.refBytes(ref))
 	}
-	if h.obsRing != nil {
-		h.obsTickPush++
-		if h.obsTickPush&h.obsMask == 0 {
-			h.obsRing.Record(obs.EvRetire, h.slot.id, uint64(len(rl.refs)))
-		}
-	}
-	if tr := h.obsTrace; tr != nil {
-		if r := uint64(ref.Unmarked()); tr.Sampled(r) {
-			tr.Retire(r, h.base.Alloc.Header(ref).RetireEra, h.slot.id)
-		}
+	if p := h.probe; p != nil {
+		p.Retire(uint64(ref.Unmarked()), uint64(len(rl.refs)))
 	}
 }
 
 // NoteRetired updates retirement accounting without touching any retired
 // list — for schemes (reference counting) that reclaim inline. It takes the
 // retired ref so the byte accounting stays class-aware even without a list.
-// The sampled EvRetire event carries depth 0: inline schemes keep no
-// retired list.
+// The recorded depth is 0: inline schemes keep no retired list.
 func (h *Handle) NoteRetired(ref mem.Ref) {
 	h.retStripe.Add(1)
 	if h.retBytesStripe != nil {
 		h.retBytesStripe.Add(h.base.refBytes(ref))
 	}
 	h.base.observePeak()
-	if h.obsRing != nil {
-		h.obsTickPush++
-		if h.obsTickPush&h.obsMask == 0 {
-			h.obsRing.Record(obs.EvRetire, h.slot.id, 0)
-		}
-	}
-	if tr := h.obsTrace; tr != nil {
-		if r := uint64(ref.Unmarked()); tr.Sampled(r) {
-			tr.Retire(r, h.base.Alloc.Header(ref).RetireEra, h.slot.id)
-		}
+	if p := h.probe; p != nil {
+		p.Retire(uint64(ref.Unmarked()), 0)
 	}
 }
 
@@ -345,13 +284,8 @@ func (h *Handle) FreeRetired(ref mem.Ref) {
 	if h.freeBytesStripe != nil {
 		h.freeBytesStripe.Add(b.refBytes(ref))
 	}
-	if h.obsRing != nil {
-		h.obsRing.Record(obs.EvFree, h.slot.id, 1)
-	}
-	if tr := h.obsTrace; tr != nil {
-		if r := uint64(ref.Unmarked()); tr.Sampled(r) {
-			tr.Free(r, h.slot.id)
-		}
+	if p := h.probe; p != nil {
+		p.Free(uint64(ref.Unmarked()))
 	}
 }
 
@@ -366,16 +300,12 @@ func (h *Handle) ReclaimUnprotected(protected func(ref mem.Ref) bool) {
 	st := &h.slot.rl.retiredListState
 	keep := st.refs[:0]
 	toFree := st.spare[:0]
-	tr := h.obsTrace
+	p := h.probe
 	for _, obj := range st.refs {
 		if protected(obj) {
 			keep = append(keep, obj)
-			if tr != nil {
-				// A scan pass visited this sampled ref and left it pinned:
-				// record the skip so the span shows how many passes it survived.
-				if r := uint64(obj); tr.Sampled(r) {
-					tr.Event(r, obs.SpanSkip, h.slot.id, 0)
-				}
+			if p != nil {
+				p.Skip(uint64(obj))
 			}
 		} else {
 			toFree = append(toFree, obj)
@@ -408,67 +338,51 @@ func (h *Handle) ReclaimUnprotected(protected func(ref mem.Ref) bool) {
 		}
 		h.freeBytesStripe.Add(freedBytes)
 	}
-	if h.obsRing != nil {
-		// One event for the whole batch: scans are where frees cluster, and
-		// the batch size is the interesting number.
-		h.obsRing.Record(obs.EvFree, h.slot.id, uint64(len(toFree)))
-	}
-	if tr != nil {
-		for _, obj := range toFree {
-			if r := uint64(obj); tr.Sampled(r) {
-				tr.Free(r, h.slot.id)
-			}
-		}
+	if p != nil {
+		obs.FreeBatch(p, toFree)
 	}
 	st.spare = toFree[:0]
 }
 
-// TraceHandoff lands a handoff event on a sampled ref's lifecycle span —
-// schemes and the offload pipeline call it when a retired ref changes hands
-// (a Hyaline batch distribution, an offload enqueue). value carries the
-// destination: a worker index or a receiving-session count. One untaken
-// branch when tracing is off.
+// TraceHandoff records that a retired ref changed hands — schemes and the
+// offload pipeline call it on a Hyaline batch distribution or an offload
+// enqueue. value carries the destination: a worker index or
+// a receiving-session count.
 func (h *Handle) TraceHandoff(ref mem.Ref, value uint64) {
-	tr := h.obsTrace
-	if tr == nil {
-		return
+	if p := h.probe; p != nil {
+		p.Handoff(uint64(ref.Unmarked()), value)
 	}
-	if r := uint64(ref.Unmarked()); tr.Sampled(r) {
-		tr.Event(r, obs.SpanHandoff, h.slot.id, value)
+}
+
+// ObsNow returns obs.Now() when the session is observed and 0 otherwise,
+// for timestamps that only the observability layer reads.
+func (h *Handle) ObsNow() int64 {
+	if h.probe == nil {
+		return 0
 	}
+	return obs.Now()
 }
 
 // NoteScan records one reclamation pass over a retired list and folds the
 // striped counters into the pending high-water mark. Scans sample the peak
 // immediately after the pushes that triggered them, preserving the
 // PeakPending semantics the scan-per-retire implementation had. With
-// observability attached it also opens the scan bracket: timestamp and
-// freed-stripe baseline for NoteScanEnd, plus an EvScanStart event carrying
-// the candidate count. Scans are amortized-rare, so these are unsampled.
+// observability attached it also opens the probe's scan bracket over the
+// current candidates.
 func (h *Handle) NoteScan() {
 	h.scanStripe.Add(1)
 	h.base.observePeak()
-	if h.obsRing != nil {
-		h.obsScanT0 = obs.Now()
-		h.obsScanFreed = h.freeStripe.Load()
-		h.obsRing.Record(obs.EvScanStart, h.slot.id, uint64(len(h.slot.rl.refs)))
+	if p := h.probe; p != nil {
+		p.ScanStart(len(h.slot.rl.refs))
 	}
 }
 
-// NoteScanEnd closes the bracket NoteScan opened: the elapsed time goes to
-// the scan-latency histogram and an EvScanEnd event carries the number of
-// nodes this session freed during the pass. Schemes call it at every exit
-// of their scan routine; it is a single untaken branch when obs is off.
+// NoteScanEnd closes the bracket NoteScan opened. Schemes call it at every
+// exit of their scan routine.
 func (h *Handle) NoteScanEnd() {
-	if h.obsRing == nil {
-		return
+	if p := h.probe; p != nil {
+		p.ScanEnd()
 	}
-	h.obsScan.Record(obs.Now() - h.obsScanT0)
-	freed := h.freeStripe.Load() - h.obsScanFreed
-	if freed < 0 {
-		freed = 0
-	}
-	h.obsRing.Record(obs.EvScanEnd, h.slot.id, uint64(freed))
 }
 
 // Abandon moves the session's remaining retired objects to the shared
@@ -496,18 +410,11 @@ func (h *Handle) AdoptOrphans() {
 
 // ---- instrumentation (cached stripes; nil-guarded, branch-only when off) -
 
-// ObsEra records an EvEra flight-recorder event when this session advances
-// the scheme's global era/epoch/version clock. HE and IBR advance the clock
-// on every retire by default, so the event is sampled on its own tick (the
-// recorded value is the clock reading itself, so gaps between samples lose
-// nothing — the progression is reconstructible); when obs is off this is
-// one untaken branch.
+// ObsEra records that this session advanced the scheme's global
+// era/epoch/version clock to clock.
 func (h *Handle) ObsEra(clock uint64) {
-	if h.obsRing != nil {
-		h.obsTickEra++
-		if h.obsTickEra&h.obsMask == 0 {
-			h.obsRing.Record(obs.EvEra, h.slot.id, clock)
-		}
+	if p := h.probe; p != nil {
+		p.Era(clock)
 	}
 }
 

@@ -139,6 +139,41 @@ func TestObsSchemeIntegration(t *testing.T) {
 	d.Drain()
 }
 
+// TestScanEndCountsOwnFrees pins the scan_end value to the frees of the
+// scanning session's own pass. Sessions past the MaxThreads hint share
+// counter stripes, so a reading taken off the freed stripe would also count
+// a neighbour's frees.
+func TestScanEndCountsOwnFrees(t *testing.T) {
+	arena := mem.NewArena[bnode]()
+	d := core.New(arena, reclaim.Config{MaxThreads: 1, Slots: 2})
+	od := obs.NewDomain("HE", obs.Config{Sessions: 1, RingEvents: 64})
+	d.EnableObs(od)
+	h0 := d.Register()
+	h1 := d.Register()
+	ref, _ := arena.AllocAt(h1.ID())
+	d.OnAlloc(ref)
+
+	h0.NoteScan()
+	h1.FreeRetired(ref)
+	h0.NoteScanEnd()
+
+	ends := 0
+	for _, e := range od.Events(0) {
+		if e.Kind == obs.EvScanEnd && e.Session == h0.ID() {
+			ends++
+			if e.Value != 0 {
+				t.Errorf("session %d's scan_end reports %d freed; its pass freed nothing", h0.ID(), e.Value)
+			}
+		}
+	}
+	if ends != 1 {
+		t.Fatalf("recorded %d scan_end events for session %d, want 1", ends, h0.ID())
+	}
+	h0.Unregister()
+	h1.Unregister()
+	d.Drain()
+}
+
 // TestObsChurnRace drives an instrumented HE domain from several goroutines
 // while a sampler and an event reader run concurrently — the -race
 // regression test for the recorder/histogram/snapshot paths embedded in the

@@ -90,7 +90,7 @@ if [ "$mode" = "health" ]; then
     'smr_hyaline_handoff_depth_max{scheme="hyaline' \
     '# TYPE smr_alerts_total counter' \
     '# TYPE smr_alert_active gauge'; do
-    echo "$hscrape" | grep -qF "$series" || { echo "missing series: $series"; exit 1; }
+    grep -qF "$series" <<<"$hscrape" || { echo "missing series: $series"; exit 1; }
   done
   # Fetch before matching: piping curl into grep -q fails the pipeline
   # under pipefail whenever grep exits before curl has written the body.
@@ -99,9 +99,12 @@ if [ "$mode" = "health" ]; then
   kill "$hpid" 2>/dev/null || true
   wait "$hpid" 2>/dev/null || true
   echo "== heanalyze offline pass over the recorded spans =="
-  grep -q '"span"' "$htmp/health.jsonl" || { echo "no lifecycle spans in sampler JSONL"; exit 1; }
+  grep -q '"type":"span"' "$htmp/health.jsonl" || { echo "no lifecycle spans in sampler JSONL"; exit 1; }
   go run ./cmd/heanalyze "$htmp/health.jsonl" > "$htmp/heanalyze.out"
   grep -q 'completed spans:' "$htmp/heanalyze.out" || { echo "heanalyze produced no span report"; cat "$htmp/heanalyze.out"; exit 1; }
+  echo "== heanalyze over the committed stalled-reader artifact (schema must still parse) =="
+  go run ./cmd/heanalyze artifacts/stalledreader_pending.jsonl > "$htmp/artifact.out"
+  grep -q 'per-session pin report' "$htmp/artifact.out" || { echo "heanalyze finds no pin report in artifacts/stalledreader_pending.jsonl"; cat "$htmp/artifact.out"; exit 1; }
   echo "== stalled-reader demo: era-stall alert must raise and clear =="
   go run ./examples/stalledreader > "$htmp/stalled.out"
   grep -q 'ALERT raise .*era-stall' "$htmp/stalled.out" || { echo "no era-stall raise"; cat "$htmp/stalled.out"; exit 1; }
@@ -117,12 +120,13 @@ echo "== build =="
 go build ./...
 echo "== vet =="
 go vet ./...
-echo "== inlining (the protected hop and the operation window make no call) =="
+echo "== inlining (the protected hop, the operation window and the obs gates make no call) =="
 # Each wrapper below must stay inlinable: a protected load is then one
-# interface dispatch into the scheme, and a schedule gate is a load and a
-# branch. Atomic[T].Load is generic, so it is compiled (and reported) where
-# internal/list instantiates it.
-inl=$(go build -gcflags=-m ./internal/schedtest ./internal/reclaim ./smr ./internal/list 2>&1)
+# interface dispatch into the scheme, a schedule gate or an obs hook on an
+# unobserved session is a load and a branch, and an observed session's
+# probe calls out only on a sampled or traced call. Atomic[T].Load is generic,
+# so it is compiled (and reported) where internal/list instantiates it.
+inl=$(go build -gcflags=-m ./internal/schedtest ./internal/obs ./internal/reclaim ./smr ./internal/list 2>&1)
 while IFS='|' read -r name pattern; do
   grep -qE ": can inline $pattern\$" <<<"$inl" || { echo "no longer inlinable: $name"; exit 1; }
 done <<'INLINE'
@@ -132,6 +136,15 @@ schedtest.Point|Point
 (*smr.AtomicBytes).Load|\(\*AtomicBytes\)\.Load
 (*smr.Guard).BeginOp|\(\*Guard\)\.BeginOp
 (*smr.Guard).EndOp|\(\*Guard\)\.EndOp
+(*reclaim.Handle).ObsEra|\(\*Handle\)\.ObsEra
+(*reclaim.Base).TraceAlloc|\(\*Base\)\.TraceAlloc
+(*reclaim.Handle).TraceHandoff|\(\*Handle\)\.TraceHandoff
+(*reclaim.Handle).NoteScanEnd|\(\*Handle\)\.NoteScanEnd
+(*obs.Probe).StartProtect|\(\*Probe\)\.StartProtect
+(*obs.Probe).Protect|\(\*Probe\)\.Protect
+(*obs.Probe).StartRetire|\(\*Probe\)\.StartRetire
+(*obs.Probe).EndRetire|\(\*Probe\)\.EndRetire
+(*obs.Probe).Retire|\(\*Probe\)\.Retire
 INLINE
 echo "== hygiene (no sampler artifacts committed under internal/) =="
 stray=$(find internal -name '*.jsonl' 2>/dev/null || true)
@@ -188,7 +201,7 @@ for series in \
   'smr_scan_latency_ns_bucket{scheme="HE"' \
   'smr_retired_total{scheme="EBR"}' \
   'smr_retired_total{scheme="HP"}'; do
-  echo "$scrape" | grep -qF "$series" || { echo "missing series: $series"; exit 1; }
+  grep -qF "$series" <<<"$scrape" || { echo "missing series: $series"; exit 1; }
 done
 jsonok=""
 for _ in $(seq 1 25); do
@@ -225,7 +238,7 @@ for series in \
   'smr_offload_handoffs_total{scheme="HE"}' \
   'smr_offload_fallback_total{scheme="HE"}' \
   'smr_offload_latency_ns_bucket{scheme="HE"'; do
-  echo "$offscrape" | grep -qF "$series" || { echo "missing series: $series"; exit 1; }
+  grep -qF "$series" <<<"$offscrape" || { echo "missing series: $series"; exit 1; }
 done
 kill "$offpid" 2>/dev/null || true
 wait "$offpid" 2>/dev/null || true
